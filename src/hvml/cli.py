@@ -168,7 +168,7 @@ def cmd_hv(args) -> int:
     out = _out_dir(args, "hv")
     _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
                                 "mc_samples": args.mc_samples, "seed": args.seed or 0})
-    total = pareto.exact_hypervolume([p for p, _ in rows], ref) if rows else 0.0
+    total = pareto.exact_hypervolume([p for p, _ in rows], ref)
     lines = [f"total_hypervolume {total:.6f}"]
     report_rows = []
     for vec, tag in rows:

@@ -1,10 +1,10 @@
 """Dominance, non-dominated fronts, and exact/Monte-Carlo hypervolume in 3-D.
 
 Volumes are measured in a minimized 3-D loss space: the region dominated by
-a set of points and bounded above by one or more reference vectors. Two
-independent exact paths are provided (inclusion-exclusion for small fronts,
-a z-axis dimension sweep beyond) plus a seeded Monte Carlo estimator of the
-per-point contribution.
+a set of points and bounded above by one reference vector (the unit vector
+unless a caller passes another). The exact volume comes from a single
+z-axis dimension sweep; a seeded Monte Carlo estimator of the per-point
+contribution sits beside it.
 
 Contribution comes in two flavours that must not be confused:
 
@@ -26,20 +26,6 @@ import numpy as np
 from .errors import DimensionError
 
 UNIT_REF = np.ones(3)
-
-# inclusion-exclusion is exponential in the front size; beyond this we sweep
-IEX_MAX_POINTS = 20
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    a = a.astype(np.int64)
-    out = np.zeros_like(a)
-    while a.any():
-        out += _POPCOUNT8[a & 0xFF]
-        a >>= 8
-    return out
 
 
 def dominates(a, b) -> bool:
@@ -105,19 +91,6 @@ def _points_tags(front) -> tuple[np.ndarray, list[str]]:
     return pts, [str(i) for i in range(pts.shape[0])]
 
 
-def _ref_array(ref) -> np.ndarray:
-    """A reference set as an (m, 3) array; a single vector becomes one row."""
-    if isinstance(ref, Front):
-        r = ref.points
-    else:
-        r = np.asarray(ref, dtype=float)
-    if r.ndim == 1:
-        r = r[None, :]
-    if r.ndim != 2 or r.shape[1] != 3:
-        raise DimensionError(f"reference must be one or more 3-vectors, got shape {r.shape}")
-    return r
-
-
 def nondominated_filter(points) -> Front:
     """Keep exactly the points not dominated by any other; duplicates keep the
     first occurrence. Input order is preserved among survivors."""
@@ -149,36 +122,14 @@ def update_reference_set(front: Front, new_points) -> Front:
 
 
 # ---------------------------------------------------------------------------
-# exact volumes, single reference vector (boxes share the upper corner)
+# exact volume: z-axis dimension sweep (Beume et al., IEEE TEVC 13(5), 2009)
 
-def _hv_inclusion_exclusion(pts: np.ndarray, ref: np.ndarray) -> float:
-    pts = pts[(pts < ref).all(axis=1)]
-    n = pts.shape[0]
-    if n == 0:
-        return 0.0
-    if n > IEX_MAX_POINTS:
-        raise ValueError(f"inclusion-exclusion limited to {IEX_MAX_POINTS} points, got {n}")
-    full = 1 << n
-    masks = np.arange(1, full, dtype=np.int64)
-    low_idx = np.array([int(m & -m).bit_length() - 1 for m in masks]) if n <= 12 else None
-    if low_idx is None:
-        lows = masks & -masks
-        low_idx = np.zeros_like(masks)
-        for b in range(n):
-            low_idx[lows == (1 << b)] = b
-    prev = masks ^ (masks & -masks)
-    level = _popcount(masks)
-    corners = np.empty((full, 3))
-    for lv in range(1, n + 1):
-        sel = masks[level == lv]
-        if lv == 1:
-            corners[sel] = pts[low_idx[sel - 1]]
-        else:
-            corners[sel] = np.maximum(corners[prev[sel - 1]], pts[low_idx[sel - 1]])
-    sides = np.clip(ref[None, :] - corners[1:], 0.0, None)
-    vols = sides.prod(axis=1)
-    signs = np.where(level % 2 == 1, 1.0, -1.0)
-    return float(np.sum(signs * vols))
+def _reference(ref) -> np.ndarray:
+    """The reference vector as a float 3-vector; anything else is refused."""
+    r = np.asarray(ref, dtype=float)
+    if r.shape != (3,):
+        raise DimensionError(f"reference must be one 3-vector, got shape {r.shape}")
+    return r
 
 
 def _staircase_area(xs: np.ndarray, ys: np.ndarray, rx: float, ry: float) -> float:
@@ -191,6 +142,8 @@ def _staircase_area(xs: np.ndarray, ys: np.ndarray, rx: float, ry: float) -> flo
 
 
 def _hv_sweep(pts: np.ndarray, ref: np.ndarray) -> float:
+    """Volume of the union of boxes [p, ref]: one slab per distinct z level,
+    each the 2-D staircase area of the points at or below it."""
     pts = pts[(pts < ref).all(axis=1)]
     if pts.shape[0] == 0:
         return 0.0
@@ -206,93 +159,14 @@ def _hv_sweep(pts: np.ndarray, ref: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact volumes, general boxes (needed once the reference set has >1 vector)
-
-def _boxes_from(pts: np.ndarray, refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All non-empty boxes (p, r) for p in pts, r in refs."""
-    los = np.repeat(pts, refs.shape[0], axis=0)
-    his = np.tile(refs, (pts.shape[0], 1))
-    keep = (los < his).all(axis=1)
-    return los[keep], his[keep]
-
-
-def _box_union_iex(los: np.ndarray, his: np.ndarray) -> float:
-    n = los.shape[0]
-    if n == 0:
-        return 0.0
-    if n > IEX_MAX_POINTS:
-        raise ValueError(f"inclusion-exclusion limited to {IEX_MAX_POINTS} boxes, got {n}")
-    total = 0.0
-    full = 1 << n
-    for mask in range(1, full):
-        idx = [b for b in range(n) if mask >> b & 1]
-        lo = los[idx].max(axis=0)
-        hi = his[idx].min(axis=0)
-        v = float(np.prod(np.clip(hi - lo, 0.0, None)))
-        total += v if len(idx) % 2 == 1 else -v
-    return total
-
-
-def _box_union_sweep(los: np.ndarray, his: np.ndarray) -> float:
-    """Volume of a union of axis-aligned boxes: z sweep over slabs, exact 2-D
-    coordinate-compressed area per slab."""
-    if los.shape[0] == 0:
-        return 0.0
-    xs = np.unique(np.concatenate([los[:, 0], his[:, 0]]))
-    ys = np.unique(np.concatenate([los[:, 1], his[:, 1]]))
-    zs = np.unique(np.concatenate([los[:, 2], his[:, 2]]))
-    dx = np.diff(xs)
-    dy = np.diff(ys)
-    ix_lo = np.searchsorted(xs, los[:, 0])
-    ix_hi = np.searchsorted(xs, his[:, 0])
-    iy_lo = np.searchsorted(ys, los[:, 1])
-    iy_hi = np.searchsorted(ys, his[:, 1])
-    vol = 0.0
-    for z0, z1 in zip(zs[:-1], zs[1:]):
-        sel = np.flatnonzero((los[:, 2] <= z0) & (his[:, 2] >= z1))
-        if sel.size == 0:
-            continue
-        covered = np.zeros((len(dx), len(dy)), dtype=bool)
-        for b in sel:
-            covered[ix_lo[b]:ix_hi[b], iy_lo[b]:iy_hi[b]] = True
-        area = float(dx @ covered @ dy)
-        vol += area * (z1 - z0)
-    return vol
-
-
-# ---------------------------------------------------------------------------
 # public volume operations
 
-def exact_hypervolume(front, ref=UNIT_REF, method: str = "auto") -> float:
+def exact_hypervolume(front, ref=UNIT_REF) -> float:
     """Exact volume of the region dominated by the points and bounded by the
-    reference vector(s).
-
-    With a single reference vector this is the union of boxes [p, ref];
-    `method` picks "iex" (inclusion-exclusion), "sweep", or "auto"
-    (inclusion-exclusion up to 20 points). With a reference set, the union
-    runs over all non-empty boxes [p, r].
-    """
+    reference vector: the union of the boxes [p, ref]. Points not strictly
+    below the reference in every component add nothing."""
     pts, _ = _points_tags(front)
-    refs = _ref_array(ref)
-    if pts.shape[0] == 0:
-        return 0.0
-    if refs.shape[0] == 1:
-        r = refs[0]
-        if method == "iex":
-            return _hv_inclusion_exclusion(pts, r)
-        if method == "sweep":
-            return _hv_sweep(pts, r)
-        if method != "auto":
-            raise ValueError(f"unknown method {method!r}")
-        if pts.shape[0] <= IEX_MAX_POINTS:
-            return _hv_inclusion_exclusion(pts, r)
-        return _hv_sweep(pts, r)
-    los, his = _boxes_from(pts, refs)
-    # the box-union inclusion-exclusion is an unvectorized 2^B loop; keep it
-    # to small unions and sweep otherwise
-    if method == "iex" or (method == "auto" and los.shape[0] <= 12):
-        return _box_union_iex(los, his)
-    return _box_union_sweep(los, his)
+    return _hv_sweep(pts, _reference(ref))
 
 
 def _tag_index(tags: list[str], tag) -> int:
@@ -303,22 +177,23 @@ def _tag_index(tags: list[str], tag) -> int:
 
 
 def exact_contribution(front, tag, ref=UNIT_REF) -> float:
-    """Exclusive volume of one point: total volume minus the volume without it.
+    """Exclusive volume of one point below the reference vector: total volume
+    minus the volume without it.
 
     Exactly 0.0 (no arithmetic involved) when another point weakly dominates
-    the tagged point or when the point lies outside every reference box.
+    the tagged point or when the point is not strictly below the reference.
     """
     pts, tags = _points_tags(front)
-    refs = _ref_array(ref)
+    ref = _reference(ref)
     i = _tag_index(tags, tag)
     p = pts[i]
     others = np.delete(pts, i, axis=0)
-    if not (p < refs).all(axis=1).any():
+    if not (p < ref).all():
         return 0.0
     if others.size and (others <= p).all(axis=1).any():
         return 0.0
-    full = exact_hypervolume(pts, refs)
-    rest = exact_hypervolume(others, refs) if others.size else 0.0
+    full = exact_hypervolume(pts, ref)
+    rest = exact_hypervolume(others, ref)
     return max(0.0, full - rest)
 
 
@@ -339,11 +214,11 @@ def hv_decomposition(front, ref=UNIT_REF) -> HvResult:
     against independent oracles). Duplicate and dominated points receive 0.
     """
     pts, tags = _points_tags(front)
-    refs = _ref_array(ref)
+    ref = _reference(ref)
     contributions: dict[str, float] = {}
     prev_vol = 0.0
     for i, t in enumerate(tags):
-        cur_vol = exact_hypervolume(pts[: i + 1], refs)
+        cur_vol = exact_hypervolume(pts[: i + 1], ref)
         contributions[t] = max(0.0, cur_vol - prev_vol)
         prev_vol = cur_vol
     return HvResult(total=prev_vol, contributions=contributions)
@@ -353,24 +228,24 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     """Monte Carlo estimate of ``exact_contribution``.
 
     Draws g points uniformly from the sampling space [0,1]^3 and counts hits
-    inside the tagged point's exclusive region; returns hits / g (the
-    sampling space has unit volume). Deterministic for a fixed seed.
+    inside the tagged point's exclusive region below the reference vector;
+    returns hits / g (the sampling space has unit volume). Deterministic for
+    a fixed seed.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     pts, tags = _points_tags(front)
-    refs = _ref_array(ref)
+    ref = _reference(ref)
     i = _tag_index(tags, tag)
     p = pts[i]
     others = np.delete(pts, i, axis=0)
-    if not (p < refs).all(axis=1).any():
+    if not (p < ref).all():
         return 0.0
     if others.size and (others <= p).all(axis=1).any():
         return 0.0
     rng = np.random.default_rng(seed)
     z = rng.random((int(g), 3))
-    hits = (z >= p).all(axis=1)
-    sub = z[hits]
+    sub = z[(z >= p).all(axis=1)]
     if others.size and sub.size:
         alive = np.ones(sub.shape[0], dtype=bool)
         for q in others:
@@ -378,11 +253,4 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
             if not alive.any():
                 break
         sub = sub[alive]
-    if sub.size:
-        below = np.zeros(sub.shape[0], dtype=bool)
-        for r in refs:
-            below |= (sub < r).all(axis=1)
-        n_hits = int(below.sum())
-    else:
-        n_hits = 0
-    return n_hits / float(g)
+    return int((sub < ref).all(axis=1).sum()) / float(g)

@@ -1,20 +1,18 @@
 """The training loop: hypervolume-contribution fitness driving a CMA-ES.
 
-Each epoch samples a population of parameter vectors, scores every candidate
-on the training and validation splits, and prescribes as fitness the
-candidate's hypervolume contribution computed over the population's TRAINING
-loss vectors against the current reference set. Validation losses go into
-the archives (full non-dominated front plus per-loss bests) and never touch
-fitness; the test split is only evaluated once at the end.
+Each epoch samples a population of parameter vectors and scores every
+candidate on the training and validation splits. A candidate's fitness is
+its exclusive hypervolume contribution within its own generation: the
+volume of loss space it alone dominates among the population's TRAINING
+loss vectors, bounded by the unit reference vector. Validation losses go
+into the archives (full non-dominated front plus per-loss bests) and never
+touch fitness; the test split is only evaluated once at the end.
 
-The reference set starts at the unit vector and evolves each epoch to the
-non-dominated union with the population's training loss vectors; candidate
-fitness within an epoch is measured against the set in force when the
-candidates were generated. Fitness uses the Monte Carlo estimator with one
-seeded stream per (epoch, candidate) pair, switching to the exact
-contribution when the combined front is small enough for exactness to be
-cheap (or always, with ``exact_fitness``). Everything derives from one root
-seed, so runs are bit-identical across repeats and worker counts.
+Fitness uses the Monte Carlo estimator with one seeded stream per (epoch,
+candidate) pair, switching to the exact contribution when the population is
+small enough for exactness to be cheap (or always, with ``exact_fitness``).
+Everything derives from one root seed, so runs are bit-identical across
+repeats and worker counts.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 
 from . import cmaes, losses, model, pareto, seeds
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .losses import LossVector
 
 EXACT_FITNESS_MAX_POINTS = 20
@@ -37,6 +35,7 @@ LOSS_KEYS = ("l1", "l2", "l3", "l4")
 STATE_FILE = "state.npz"
 MODEL_FILE = "incumbent.model"
 META_FILE = "checkpoint.json"
+CURVES_HEADER = ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness"]
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,6 @@ class TrainState:
 
     cma: cmaes.CmaState
     shape: model.ModelShape
-    ref_set: pareto.Front
     epoch: int
     incumbent: Incumbent
     best_per_loss: dict[str, Incumbent]
@@ -118,7 +116,6 @@ class TrainResult:
     final_test_bce: float
     best_per_loss: dict[str, Incumbent]
     best_per_loss_test: dict[str, tuple[LossVector, float]]
-    ref_set: pareto.Front
     archive: pareto.Front
     curves: list[CandidateRecord]
     archive_hv: list[float]
@@ -170,11 +167,8 @@ def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     bests: dict[str, Incumbent] = {}
     _update_bests(bests, seed0)
     archive = pareto.nondominated_filter([(np.asarray(val_lv), "e0")])
-    state = TrainState(
-        cma=cma, shape=shape,
-        ref_set=pareto.Front(np.ones((1, 3)), ("r0",)),
-        epoch=0, incumbent=seed0, best_per_loss=bests, archive=archive,
-    )
+    state = TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0,
+                       best_per_loss=bests, archive=archive)
     if config.track_archive_hv:
         state.archive_hv.append(pareto.exact_hypervolume(state.archive))
     return state
@@ -254,9 +248,6 @@ def train(dataset: Dataset, config: TrainConfig,
                 factor = np.exp((success - 0.2) / 3.0)
                 cma = replace(cma, sigma=float(np.clip(cma.sigma * factor, 1e-8, 10.0)))
 
-            state.ref_set = pareto.update_reference_set(
-                state.ref_set, [(train_vecs[i], f"e{epoch}c{i}") for i in range(len(params))])
-
             best_i = int(order[0])
             state.incumbent = Incumbent(params[best_i], evals[best_i][1][0],
                                         evals[best_i][1][1], epoch=epoch, candidate=best_i)
@@ -275,7 +266,7 @@ def train(dataset: Dataset, config: TrainConfig,
         config=config, shape=state.shape,
         final=state.incumbent, final_test=final_test, final_test_bce=final_test_bce,
         best_per_loss=dict(state.best_per_loss), best_per_loss_test=best_test,
-        ref_set=state.ref_set, archive=state.archive,
+        archive=state.archive,
         curves=list(state.curves), archive_hv=list(state.archive_hv),
         epochs_run=state.epoch, state=state,
     )
@@ -285,7 +276,7 @@ def emit_curves(curves: list[CandidateRecord], path) -> None:
     """Write the per-candidate loss trajectories as CSV: one row per candidate
     per split per epoch."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,candidate,split,l1,l2,l3,l4,fitness\n")
+        fh.write(",".join(CURVES_HEADER) + "\n")
         for rec in curves:
             for split, lv, b in (("train", rec.train, rec.train_bce),
                                  ("validation", rec.validation, rec.validation_bce)):
@@ -298,7 +289,9 @@ def read_curves(path) -> list[CandidateRecord]:
     rows: dict[tuple[int, int], dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        assert header == ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness"]
+        if header != CURVES_HEADER:
+            raise ParseError(f"curves header must be {','.join(CURVES_HEADER)!r}, "
+                             f"got {','.join(header)!r}", path, 1)
         for line in fh:
             cells = line.strip().split(",")
             key = (int(cells[0]), int(cells[1]))
@@ -329,12 +322,10 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
         lambda_pop=state.cma.lambda_pop, mu=state.cma.mu,
         weights=state.cma.weights, c_cov=state.cma.c_cov,
         literal=state.cma.literal_updates,
-        ref_points=state.ref_set.points,
-        ref_tags=np.array(state.ref_set.tags, dtype=object),
         archive_points=state.archive.points,
-        archive_tags=np.array(state.archive.tags, dtype=object),
+        archive_tags=np.array(state.archive.tags, dtype=str),
         archive_hv=np.array(state.archive_hv),
-        best_keys=np.array(best_keys, dtype=object),
+        best_keys=np.array(best_keys, dtype=str),
         best_params=np.array([state.best_per_loss[k].params.flat for k in best_keys]),
         best_meta=np.array([[*state.best_per_loss[k].validation,
                              state.best_per_loss[k].validation_bce,
@@ -349,33 +340,33 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
 
 
 def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
+    """Read a checkpoint written by ``save_checkpoint``. Object arrays are
+    refused (``allow_pickle=False``), so loading a file never runs code."""
     out = Path(out_dir)
     meta = json.loads((out / META_FILE).read_text())
     config = TrainConfig(**meta["config"])
     shape = model.ModelShape(*meta["shape"])
-    blob = np.load(out / STATE_FILE, allow_pickle=True)
-    cma = cmaes.CmaState(
-        mean=blob["mean"], cov=blob["cov"], sigma=float(blob["sigma"]),
-        lambda_pop=int(blob["lambda_pop"]), mu=int(blob["mu"]),
-        weights=blob["weights"], c_cov=float(blob["c_cov"]),
-        literal_updates=bool(blob["literal"]),
-    )
     inc_params = model.load_model(out / MODEL_FILE)
 
     def unpack_meta(row, params):
         return Incumbent(params, LossVector(row[0], row[1], row[2]), float(row[3]),
                          epoch=int(row[4]), candidate=int(row[5]))
 
-    bests = {}
-    for key, flat, row in zip(blob["best_keys"], blob["best_params"], blob["best_meta"]):
-        bests[str(key)] = unpack_meta(row, model.ModelParams(flat, shape))
-    state = TrainState(
-        cma=cma, shape=shape,
-        ref_set=pareto.Front(blob["ref_points"], tuple(str(t) for t in blob["ref_tags"])),
-        epoch=int(meta["epoch"]),
-        incumbent=unpack_meta(blob["incumbent_meta"], inc_params),
-        best_per_loss=bests,
-        archive=pareto.Front(blob["archive_points"], tuple(str(t) for t in blob["archive_tags"])),
-        archive_hv=list(blob["archive_hv"]),
-    )
+    with np.load(out / STATE_FILE, allow_pickle=False) as blob:
+        cma = cmaes.CmaState(
+            mean=blob["mean"], cov=blob["cov"], sigma=float(blob["sigma"]),
+            lambda_pop=int(blob["lambda_pop"]), mu=int(blob["mu"]),
+            weights=blob["weights"], c_cov=float(blob["c_cov"]),
+            literal_updates=bool(blob["literal"]),
+        )
+        bests = {}
+        for key, flat, row in zip(blob["best_keys"], blob["best_params"], blob["best_meta"]):
+            bests[str(key)] = unpack_meta(row, model.ModelParams(flat, shape))
+        state = TrainState(
+            cma=cma, shape=shape, epoch=int(meta["epoch"]),
+            incumbent=unpack_meta(blob["incumbent_meta"], inc_params),
+            best_per_loss=bests,
+            archive=pareto.Front(blob["archive_points"], tuple(str(t) for t in blob["archive_tags"])),
+            archive_hv=list(blob["archive_hv"]),
+        )
     return state, config

@@ -86,3 +86,26 @@ def mc_box_union_volume(los, his, n_samples=200_000, seed=0):
     for lo, hi in zip(los, his):
         inside |= ((z > lo) & (z < hi)).all(axis=1)
     return inside.mean()
+
+
+def iex_hv(points, ref=(1.0, 1.0, 1.0)):
+    """Hypervolume by inclusion-exclusion over every non-empty subset.
+
+    The boxes [p, ref] of a subset intersect in the box [componentwise max,
+    ref]; subsets are enumerated depth-first so each costs one corner update.
+    Exponential in the number of points: keep fronts to about 20 rows.
+    """
+    pts = [tuple(float(v) for v in p) for p in np.asarray(points, dtype=float).reshape(-1, 3)]
+    rx, ry, rz = (float(r) for r in ref)
+
+    def subsets(start, corner, sign):
+        total = 0.0
+        for b in range(start, len(pts)):
+            cx = max(corner[0], pts[b][0])
+            cy = max(corner[1], pts[b][1])
+            cz = max(corner[2], pts[b][2])
+            total += sign * max(0.0, rx - cx) * max(0.0, ry - cy) * max(0.0, rz - cz)
+            total += subsets(b + 1, (cx, cy, cz), -sign)
+        return total
+
+    return subsets(0, (-np.inf, -np.inf, -np.inf), 1.0)

@@ -20,7 +20,7 @@ from hvml import cmaes, data, pareto, report, synth, trainer
 from hvml.losses import geometric_mean
 from hvml.report import ResultsTable, critical_difference, friedman_both_orientations, method_medians
 
-from oracles import grid_hv
+from oracles import grid_hv, iex_hv
 
 
 def _line(n, ok, detail):
@@ -218,8 +218,8 @@ def test_criterion_7_decomposition_identity():
         pts = rng.integers(0, 200, (rng.integers(1, 9), 3)) / 200.0
         front = [(p, str(i)) for i, p in enumerate(pts)]
         res = pareto.hv_decomposition(front)
-        iex = pareto.exact_hypervolume(pts, method="iex")
-        sweep = pareto.exact_hypervolume(pts, method="sweep")
+        iex = iex_hv(pts)
+        sweep = pareto.exact_hypervolume(pts)
         grid = grid_hv(pts, 200)
         total = sum(res.contributions.values())
         for oracle in (res.total, iex, sweep, grid):

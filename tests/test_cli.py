@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, data, synth
+from hvml import benchmark_results_path, data, pareto, synth
 from hvml.cli import main
 
 
@@ -62,6 +62,25 @@ class TestHv:
             mc = got[r["method"]]["mc_contribution"]
             bound = 3 * np.sqrt(max(exact * (1 - exact), 1e-9) / 200000)
             assert abs(mc - exact) <= bound
+
+    def test_offset_reference_total(self, tmp_path, capsys):
+        pts = np.random.default_rng(4).random((6, 3))
+        front = tmp_path / "front.csv"
+        front.write_text("".join(",".join(repr(float(v)) for v in p) + "\n" for p in pts))
+        out = tmp_path / "o"
+        assert run_cli(["hv", front, "--ref", "0.9,1.1,0.8", "--out", out]) == 0
+        expected = pareto.exact_hypervolume(pts, np.array([0.9, 1.1, 0.8]))
+        assert capsys.readouterr().out.splitlines()[0] == f"total_hypervolume {expected:.6f}"
+        assert json.loads((out / "hv.json").read_text())["total"] == expected
+
+    def test_two_component_reference_exits_2(self, tmp_path, capsys):
+        # a header-only front is refused too: the reference is checked first
+        for body in ("0.5,0.5,0.5\n", "l1,l2,l3\n"):
+            front = tmp_path / "front.csv"
+            front.write_text(body)
+            assert run_cli(["hv", front, "--ref", "1,1", "--out", tmp_path / "o"]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert (err["error"], err["exit_code"]) == ("DimensionError", 2)
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         front = tmp_path / "front.csv"

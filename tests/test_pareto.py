@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hvml import pareto
+from hvml.errors import DimensionError
 from hvml.pareto import (Front, dominates, exact_contribution, exact_hypervolume,
                          hv_decomposition, mc_contribution, nondominated_filter,
                          update_reference_set)
 
-from oracles import grid_hv, mc_box_union_volume
+from oracles import grid_hv, iex_hv
 
 
 def random_front(rng, max_points=8, lattice=None):
@@ -90,18 +90,14 @@ class TestExactHypervolume:
         for _ in range(1000):
             pts = rng.random((rng.integers(1, 13), 3))
             ref = np.ones(3)
-            a = exact_hypervolume(pts, ref, method="iex")
-            b = exact_hypervolume(pts, ref, method="sweep")
-            assert a == pytest.approx(b, abs=1e-12)
+            assert exact_hypervolume(pts, ref) == pytest.approx(iex_hv(pts, ref), abs=1e-12)
 
     def test_iex_and_sweep_agree_with_offset_reference(self):
         rng = np.random.default_rng(3)
         ref = np.array([0.9, 1.1, 0.8])
         for _ in range(200):
             pts = rng.random((rng.integers(1, 10), 3))
-            a = exact_hypervolume(pts, ref, method="iex")
-            b = exact_hypervolume(pts, ref, method="sweep")
-            assert a == pytest.approx(b, abs=1e-12)
+            assert exact_hypervolume(pts, ref) == pytest.approx(iex_hv(pts, ref), abs=1e-12)
 
     def test_monotone_in_points(self):
         rng = np.random.default_rng(4)
@@ -120,19 +116,26 @@ class TestExactHypervolume:
             assert exact_hypervolume(with_dup) == pytest.approx(exact_hypervolume(pts), abs=1e-12)
 
     def test_iex_and_sweep_agree_near_dispatch_limit(self):
+        # the largest fronts the exponential oracle can check in seconds
         rng = np.random.default_rng(13)
         for n in (13, 16, 18, 20):
             pts = rng.random((n, 3))
-            a = exact_hypervolume(pts, method="iex")
-            b = exact_hypervolume(pts, method="sweep")
-            assert a == pytest.approx(b, abs=1e-12)
+            assert exact_hypervolume(pts) == pytest.approx(iex_hv(pts), abs=1e-12)
 
     def test_sweep_beyond_iex_limit(self):
         rng = np.random.default_rng(6)
-        pts = rng.random((40, 3))
-        auto = exact_hypervolume(pts)
-        sweep = exact_hypervolume(pts, method="sweep")
-        assert auto == pytest.approx(sweep, abs=1e-12)
+        pts = rng.integers(0, 200, (40, 3)) / 200.0
+        assert exact_hypervolume(pts) == pytest.approx(grid_hv(pts, 200), rel=1e-12, abs=1e-15)
+
+    def test_reference_must_be_one_3_vector(self):
+        pts = np.array([[0.2, 0.2, 0.2]])
+        for bad in ([1.0, 1.0], [[1.0, 1.0, 1.0]], [[0.6, 1.0, 1.0], [1.0, 0.6, 1.0]]):
+            with pytest.raises(DimensionError):
+                exact_hypervolume(pts, bad)
+            with pytest.raises(DimensionError):
+                exact_contribution([(pts[0], "a")], "a", bad)
+            with pytest.raises(DimensionError):
+                mc_contribution([(pts[0], "a")], "a", bad, g=10, seed=0)
 
 
 class TestExactContribution:
@@ -226,11 +229,11 @@ class TestMcContribution:
             ok += abs(est - p) <= bound
         assert ok / total >= 0.99
 
-    def test_respects_multi_reference_clipping(self):
-        refs = np.array([[0.6, 1.0, 1.0], [1.0, 0.6, 1.0]])
-        front = [((0.2, 0.2, 0.2), "a")]
-        exact = exact_hypervolume([front[0][0]], refs)
-        est = mc_contribution(front, "a", refs, g=200_000, seed=5)
+    def test_respects_reference_clipping(self):
+        ref = np.array([0.6, 1.0, 0.9])
+        front = [((0.2, 0.2, 0.2), "a"), ((0.1, 0.5, 0.4), "b")]
+        exact = exact_contribution(front, "a", ref)
+        est = mc_contribution(front, "a", ref, g=200_000, seed=5)
         assert est == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / 200_000))
 
     def test_g_validation(self):
@@ -265,27 +268,9 @@ class TestUpdateReferenceSet:
 
 
 class TestMultiReference:
-    def test_union_over_reference_set(self):
-        # one point, two overlapping reference boxes
-        refs = np.array([[0.6, 1.0, 1.0], [1.0, 0.6, 1.0]])
-        pts = np.array([[0.2, 0.2, 0.2]])
-        # vol = 0.4*0.8*0.8 + 0.8*0.4*0.8 - 0.4*0.4*0.8
-        expected = 0.256 + 0.256 - 0.128
-        assert exact_hypervolume(pts, refs) == pytest.approx(expected, abs=1e-12)
-
-    def test_iex_vs_sweep_vs_mc(self):
-        rng = np.random.default_rng(12)
-        for trial in range(30):
-            pts = rng.random((rng.integers(1, 4), 3)) * 0.5
-            refs = 0.5 + rng.random((rng.integers(1, 4), 3)) * 0.5
-            a = exact_hypervolume(pts, refs, method="iex")
-            b = exact_hypervolume(pts, refs, method="sweep")
-            assert a == pytest.approx(b, abs=1e-12)
-            los, his = pareto._boxes_from(pts, refs)
-            mc = mc_box_union_volume(los, his, seed=trial)
-            assert a == pytest.approx(mc, abs=4 * np.sqrt(max(a * (1 - a), 1e-6) / 200_000))
+    """A reference vector other than the unit vector bounds the region."""
 
     def test_point_outside_all_references_is_zero(self):
-        refs = np.array([[0.5, 0.5, 0.5]])
-        assert exact_hypervolume(np.array([[0.6, 0.1, 0.1]]), refs) == 0.0
-        assert exact_contribution([((0.6, 0.1, 0.1), "a")], "a", refs) == 0.0
+        ref = np.array([0.5, 0.5, 0.5])
+        assert exact_hypervolume(np.array([[0.6, 0.1, 0.1]]), ref) == 0.0
+        assert exact_contribution([((0.6, 0.1, 0.1), "a")], "a", ref) == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hvml import data, model, pareto, synth, trainer
-from hvml.errors import ConfigError
+from hvml.errors import ConfigError, ParseError
 from hvml.trainer import TrainConfig, emit_curves, evaluate, read_curves, train
 
 
@@ -66,9 +66,8 @@ class TestTrainLoop:
         assert len(res.curves) == 8  # one record per candidate, both splits inside
         assert {r.epoch for r in res.curves} == {1}
 
-    def test_ref_set_mutually_nondominating(self, toy_dataset):
+    def test_archive_mutually_nondominating(self, toy_dataset):
         res = train(toy_dataset, tiny_config(epochs=5))
-        res.ref_set.validate()
         res.archive.validate()
 
     def test_per_loss_bests_monotone(self, toy_dataset):
@@ -170,6 +169,14 @@ class TestCurvesCsv:
         for a, b in zip(back, res.curves):
             assert a == b
 
+    def test_wrong_header_is_parse_error(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("epoch,candidate,split,l1,l2,l3,bce,fitness\n1,0,train,0,0,0,0,0\n")
+        with pytest.raises(ParseError) as err:
+            read_curves(path)
+        assert err.value.line == 1
+        assert f"{path}:1:" in str(err.value)
+
     def test_moving_average_declines_on_copy_task(self, tmp_path):
         # recomputed from the emitted file: windowed per-epoch means of the
         # validation losses decline to zero (tiny tolerance for window fill)
@@ -204,6 +211,16 @@ class TestCheckpoint:
         assert np.array_equal(resumed.final.params.flat, full.final.params.flat)
         assert resumed.final.validation == full.final.validation
         assert resumed.archive.tags == full.archive.tags
+
+    def test_object_array_checkpoint_refused(self, toy_dataset, tmp_path):
+        res = train(toy_dataset, tiny_config(epochs=2))
+        trainer.save_checkpoint(res.state, tiny_config(epochs=2), tmp_path)
+        with np.load(tmp_path / trainer.STATE_FILE) as blob:
+            arrays = dict(blob)
+        arrays["archive_tags"] = np.array(list(res.archive.tags), dtype=object)
+        np.savez_compressed(tmp_path / trainer.STATE_FILE, **arrays)
+        with pytest.raises(ValueError, match="allow_pickle"):
+            trainer.load_checkpoint(tmp_path)
 
     def test_checkpoint_files(self, toy_dataset, tmp_path):
         res = train(toy_dataset, tiny_config(epochs=2))
