@@ -164,7 +164,7 @@ def cmd_hv(args) -> int:
                 raise ParseError(f"non-numeric loss value in row {cells!r}", path, lineno) from None
             tag = cells[0] if len(cells) > 3 else f"row{lineno}"
             rows.append((np.array(vec), tag))
-    ref = np.array([float(v) for v in args.ref.split(",")]) if args.ref else pareto.UNIT_REF
+    ref = _parse_ref(args.ref) if args.ref else pareto.UNIT_REF
     out = _out_dir(args, "hv")
     _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
                                 "mc_samples": args.mc_samples, "seed": args.seed or 0})
@@ -184,6 +184,13 @@ def cmd_hv(args) -> int:
     (out / "hv.json").write_text(json.dumps({"total": total, "rows": report_rows}, indent=2))
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _parse_ref(text: str) -> np.ndarray:
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ParseError(f"--ref must be comma-separated numbers, got {text!r}") from None
 
 
 def _is_float(s: str) -> bool:

@@ -1,10 +1,24 @@
 """Rank-one covariance matrix adaptation.
 
 A deliberately small CMA-ES: Gaussian sampling around a mean with step size
-sigma and full covariance C, weighted recombination of the top-mu samples
-for the mean, and a rank-one outer-product update for C. No evolution paths,
-no rank-mu term, no step-size adaptation; the covariance contraction itself
-provides scale adaptation on convex problems.
+sigma and covariance C, weighted recombination of the top-mu samples for the
+mean, and a rank-one update C' = (1 - c) C + c v v^T with v = sum_i w_i y_i.
+No evolution paths, no rank-mu term, no step-size adaptation; the covariance
+contraction itself provides scale adaptation on convex problems.
+
+C is never stored as a matrix. Starting from C_0 = I, t updates give exactly
+
+    C_t = a I + sum_j w_j v_j v_j^T,   a = (1 - c)^t,   w_j = c (1 - c)^(t-1-j),
+
+so the state keeps only the update vectors v_0 .. v_{t-1} (``cov_steps``,
+oldest first) and derives a and w from ``c_cov`` and t. Memory is O(t L)
+instead of O(L^2) and nothing is factorized. A draw is
+
+    theta = m + sigma (sqrt(a) z + sum_j sqrt(w_j) n_j v_j)
+
+with z ~ N(0, I_L) and n ~ N(0, I_t) independent, so its covariance is
+sigma^2 C. The sampler takes the (lambda, L) block z off the epoch's stream
+before the (lambda, t) block n. C is positive semi-definite by construction.
 
 Updates use mean-centered, sigma-normalized steps y_i = (theta_i - m) / sigma
 by default. Setting ``literal_updates`` feeds the raw sampled parameter
@@ -18,13 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .errors import NumericError
-
-EIG_FLOOR = 1e-12
-# eager eigen-repair is O(L^3); above this size it is deferred to the
-# factorization fallback (the update itself preserves PSD exactly)
-EAGER_REPAIR_MAX_DIM = 512
 
 
 def default_lambda(n_dims: int) -> int:
@@ -45,10 +52,14 @@ def default_c_cov(n_dims: int) -> float:
 
 @dataclass(frozen=True)
 class CmaState:
-    """Search distribution state plus the selection/update constants."""
+    """Search distribution state plus the selection/update constants.
+
+    ``cov_steps`` is the (t, L) array of rank-one update vectors, oldest
+    first; see the module docstring for the covariance it stands for.
+    """
 
     mean: np.ndarray
-    cov: np.ndarray
+    cov_steps: np.ndarray
     sigma: float
     lambda_pop: int
     mu: int
@@ -58,10 +69,10 @@ class CmaState:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        steps = np.asarray(self.cov_steps, dtype=float)
         n = mean.size
-        if cov.shape != (n, n):
-            raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
+        if steps.ndim != 2 or steps.shape[1] != n:
+            raise ValueError(f"covariance steps must be t x {n}, got {steps.shape}")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0 (0 only degenerates sampling to the mean)")
         if self.lambda_pop < 2:
@@ -78,7 +89,7 @@ class CmaState:
         if not 0.0 <= self.c_cov < 1.0 + 1e-12:
             raise ValueError(f"c_cov must lie in [0, 1], got {self.c_cov}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "cov_steps", steps)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -92,7 +103,7 @@ class CmaState:
         m = int(mu) if mu is not None else max(1, lam // 2)
         return cls(
             mean=np.zeros(n_dims) if mean is None else np.asarray(mean, dtype=float),
-            cov=np.eye(n_dims),
+            cov_steps=np.empty((0, n_dims)),
             sigma=float(sigma),
             lambda_pop=lam,
             mu=m,
@@ -102,29 +113,11 @@ class CmaState:
         )
 
 
-def repair_covariance(cov: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Symmetrize and clamp eigenvalues below the floor."""
-    sym = (cov + cov.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= floor:
-        return sym
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
-
-
-def _factor(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor of C, repairing indefiniteness if needed."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    repaired = repair_covariance(cov)
-    for jitter in (0.0, 1e-12, 1e-9, 1e-6):
-        try:
-            return np.linalg.cholesky(repaired + jitter * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericError("covariance factorization failed after repair")
+def covariance_weights(state: CmaState) -> tuple[float, np.ndarray]:
+    """(a, w) with C = a I + sum_j w_j v_j v_j^T over the rows v_j of cov_steps."""
+    keep = max(0.0, 1.0 - state.c_cov)
+    t = state.cov_steps.shape[0]
+    return keep**t, state.c_cov * keep ** np.arange(t - 1, -1, -1, dtype=float)
 
 
 def sample_population(state: CmaState, seed) -> np.ndarray:
@@ -133,8 +126,9 @@ def sample_population(state: CmaState, seed) -> np.ndarray:
     z = rng.standard_normal((state.lambda_pop, state.n_dims))
     if state.sigma == 0.0:
         return np.tile(state.mean, (state.lambda_pop, 1))
-    a = _factor(state.cov)
-    return state.mean + state.sigma * (z @ a.T)
+    a, w = covariance_weights(state)
+    n = rng.standard_normal((state.lambda_pop, w.size))
+    return state.mean + state.sigma * (math.sqrt(a) * z + (n * np.sqrt(w)) @ state.cov_steps)
 
 
 def ranked_steps(state: CmaState, top_params: np.ndarray) -> np.ndarray:
@@ -165,22 +159,20 @@ def update_mean(state: CmaState, steps: np.ndarray) -> np.ndarray:
 
 
 def update_covariance(state: CmaState, steps: np.ndarray) -> np.ndarray:
-    """C' = (1 - c_cov) C + c_cov (sum_i w_i y_i)(sum_i w_i y_i)^T, repaired."""
+    """C' = (1 - c_cov) C + c_cov v v^T with v = sum_i w_i y_i, as the new
+    cov_steps: the old ones with v appended."""
     steps = np.atleast_2d(np.asarray(steps, dtype=float))
     if steps.shape[0] < state.mu:
         raise ValueError(f"need at least mu={state.mu} ranked steps, got {steps.shape[0]}")
     v = state.weights @ steps[: state.mu]
-    new_cov = (1.0 - state.c_cov) * state.cov + state.c_cov * np.outer(v, v)
-    new_cov = (new_cov + new_cov.T) / 2.0
-    if state.n_dims <= EAGER_REPAIR_MAX_DIM:
-        new_cov = repair_covariance(new_cov)
-    return new_cov
+    return np.vstack([state.cov_steps, v])
 
 
 def evolve(state: CmaState, ranked_params: np.ndarray) -> CmaState:
     """One full distribution update from the top-mu parameter vectors."""
     steps = ranked_steps(state, ranked_params)
-    return replace(state, mean=update_mean(state, steps), cov=update_covariance(state, steps))
+    return replace(state, mean=update_mean(state, steps),
+                   cov_steps=update_covariance(state, steps))
 
 
 def minimize_sphere(dim: int, budget: int, seed, lambda_pop: int = 16, mu: int = 8,

@@ -18,6 +18,8 @@ repeats and worker counts.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import cmaes, losses, model, pareto, seeds
 from .data import Dataset
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DimensionError, ParseError
 from .losses import LossVector
 
 EXACT_FITNESS_MAX_POINTS = 20
@@ -311,37 +313,53 @@ def read_curves(path) -> list[CandidateRecord]:
 
 def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
     """Write a resumable checkpoint: the incumbent in the binary model format,
-    the optimizer/archive arrays, and a JSON sidecar with config and epoch."""
+    the optimizer/archive arrays, and a JSON sidecar with config and epoch.
+
+    Every file is first written under a temporary name; only when all three
+    are complete are they renamed over the previous checkpoint, so a failed
+    save leaves that checkpoint as it was and no file is ever half-written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model.save_model(state.incumbent.params, out / MODEL_FILE)
     best_keys = sorted(state.best_per_loss)
-    np.savez_compressed(
-        out / STATE_FILE,
-        mean=state.cma.mean, cov=state.cma.cov, sigma=state.cma.sigma,
-        lambda_pop=state.cma.lambda_pop, mu=state.cma.mu,
-        weights=state.cma.weights, c_cov=state.cma.c_cov,
-        literal=state.cma.literal_updates,
-        archive_points=state.archive.points,
-        archive_tags=np.array(state.archive.tags, dtype=str),
-        archive_hv=np.array(state.archive_hv),
-        best_keys=np.array(best_keys, dtype=str),
-        best_params=np.array([state.best_per_loss[k].params.flat for k in best_keys]),
-        best_meta=np.array([[*state.best_per_loss[k].validation,
-                             state.best_per_loss[k].validation_bce,
-                             state.best_per_loss[k].epoch,
-                             state.best_per_loss[k].candidate] for k in best_keys]),
-        incumbent_meta=np.array([*state.incumbent.validation, state.incumbent.validation_bce,
-                                 state.incumbent.epoch, state.incumbent.candidate]),
-    )
     meta = {"epoch": state.epoch, "shape": [state.shape.d, state.shape.c, state.shape.k],
             "config": asdict(config)}
-    (out / META_FILE).write_text(json.dumps(meta, indent=2))
+    tmp = {name: out / (name + ".tmp") for name in (MODEL_FILE, STATE_FILE, META_FILE)}
+    try:
+        model.save_model(state.incumbent.params, tmp[MODEL_FILE])
+        with open(tmp[STATE_FILE], "wb") as fh:
+            np.savez_compressed(
+                fh,
+                mean=state.cma.mean, cov_steps=state.cma.cov_steps, sigma=state.cma.sigma,
+                lambda_pop=state.cma.lambda_pop, mu=state.cma.mu,
+                weights=state.cma.weights, c_cov=state.cma.c_cov,
+                literal=state.cma.literal_updates,
+                archive_points=state.archive.points,
+                archive_tags=np.array(state.archive.tags, dtype=str),
+                archive_hv=np.array(state.archive_hv),
+                best_keys=np.array(best_keys, dtype=str),
+                best_params=np.array([state.best_per_loss[k].params.flat for k in best_keys]),
+                best_meta=np.array([[*state.best_per_loss[k].validation,
+                                     state.best_per_loss[k].validation_bce,
+                                     state.best_per_loss[k].epoch,
+                                     state.best_per_loss[k].candidate] for k in best_keys]),
+                incumbent_meta=np.array([*state.incumbent.validation,
+                                         state.incumbent.validation_bce,
+                                         state.incumbent.epoch, state.incumbent.candidate]),
+            )
+        tmp[META_FILE].write_text(json.dumps(meta, indent=2))
+        for name, path in tmp.items():
+            os.replace(path, out / name)
+    finally:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
 
 
 def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
     """Read a checkpoint written by ``save_checkpoint``. Object arrays are
-    refused (``allow_pickle=False``), so loading a file never runs code."""
+    refused (``allow_pickle=False``), so loading a file never runs code; a
+    state file that is not such a checkpoint (an object array, a missing
+    array, or arrays that do not fit the model shape) raises ``ParseError``
+    naming it."""
     out = Path(out_dir)
     meta = json.loads((out / META_FILE).read_text())
     config = TrainConfig(**meta["config"])
@@ -352,21 +370,29 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
         return Incumbent(params, LossVector(row[0], row[1], row[2]), float(row[3]),
                          epoch=int(row[4]), candidate=int(row[5]))
 
-    with np.load(out / STATE_FILE, allow_pickle=False) as blob:
-        cma = cmaes.CmaState(
-            mean=blob["mean"], cov=blob["cov"], sigma=float(blob["sigma"]),
-            lambda_pop=int(blob["lambda_pop"]), mu=int(blob["mu"]),
-            weights=blob["weights"], c_cov=float(blob["c_cov"]),
-            literal_updates=bool(blob["literal"]),
-        )
-        bests = {}
-        for key, flat, row in zip(blob["best_keys"], blob["best_params"], blob["best_meta"]):
-            bests[str(key)] = unpack_meta(row, model.ModelParams(flat, shape))
-        state = TrainState(
-            cma=cma, shape=shape, epoch=int(meta["epoch"]),
-            incumbent=unpack_meta(blob["incumbent_meta"], inc_params),
-            best_per_loss=bests,
-            archive=pareto.Front(blob["archive_points"], tuple(str(t) for t in blob["archive_tags"])),
-            archive_hv=list(blob["archive_hv"]),
-        )
+    path = out / STATE_FILE
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            cma = cmaes.CmaState(
+                mean=blob["mean"], cov_steps=blob["cov_steps"], sigma=float(blob["sigma"]),
+                lambda_pop=int(blob["lambda_pop"]), mu=int(blob["mu"]),
+                weights=blob["weights"], c_cov=float(blob["c_cov"]),
+                literal_updates=bool(blob["literal"]),
+            )
+            if cma.n_dims != shape.n_params:
+                raise ValueError(f"mean has {cma.n_dims} entries, shape {shape} needs "
+                                 f"{shape.n_params}")
+            bests = {}
+            for key, flat, row in zip(blob["best_keys"], blob["best_params"], blob["best_meta"]):
+                bests[str(key)] = unpack_meta(row, model.ModelParams(flat, shape))
+            state = TrainState(
+                cma=cma, shape=shape, epoch=int(meta["epoch"]),
+                incumbent=unpack_meta(blob["incumbent_meta"], inc_params),
+                best_per_loss=bests,
+                archive=pareto.Front(blob["archive_points"],
+                                     tuple(str(t) for t in blob["archive_tags"])),
+                archive_hv=list(blob["archive_hv"]),
+            )
+    except (KeyError, ValueError, DimensionError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"not a readable checkpoint state: {exc}", path) from exc
     return state, config

@@ -1,9 +1,12 @@
 import csv
+import time
 
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path
+from hvml import benchmark_results_path, data, synth, trainer
+
+import seed_panel
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +30,22 @@ def benchmark_by_dataset(benchmark_rows):
         by_ds.setdefault(row["dataset"], []).append(row)
     assert len(by_ds) == 9 and all(len(v) == 7 for v in by_ds.values())
     return by_ds
+
+
+@pytest.fixture(scope="session")
+def copy_task_panel():
+    """Criterion 9's copy-task run at every seed of the panel under both
+    samplers: ``{(seed, sampler): (TrainResult, seconds)}``. The moving-average
+    check on curves.csv reads the same runs: archive-HV tracking, which only
+    criterion 9 needs, does not change a run's trajectory."""
+    ds = synth.copy_task(n=64, d=4, k=2, seed=7)
+    ds = data.normalize(ds.with_split(data.stratified_split(ds, seed=7)))
+
+    def run(seed):
+        t0 = time.perf_counter()
+        result = trainer.train(ds, trainer.TrainConfig(
+            epochs=200, embedding=4, mc_samples=2000, seed=seed, lambda_pop=16, mu=4,
+            sigma=0.3, c_cov=0.1, track_archive_hv=True))
+        return result, time.perf_counter() - t0
+
+    return seed_panel.run_panel(run)

@@ -109,3 +109,23 @@ def iex_hv(points, ref=(1.0, 1.0, 1.0)):
         return total
 
     return subsets(0, (-np.inf, -np.inf, -np.inf), 1.0)
+
+
+def dense_covariance(state):
+    """The covariance of a CmaState as a dense matrix, rebuilt by the update
+    recurrence C' = (1 - c) C + c v v^T from C_0 = I over its update vectors,
+    oldest first."""
+    cov = np.eye(state.n_dims)
+    for v in state.cov_steps:
+        cov = (1.0 - state.c_cov) * cov + state.c_cov * np.outer(v, v)
+    return cov
+
+
+def dense_sample_population(state, seed):
+    """The population sampler by a dense factorization, m + sigma z chol(C)^T,
+    with z the first (lambda, L) standard-normal block of the seed's stream."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((state.lambda_pop, state.n_dims))
+    if state.sigma == 0.0:
+        return np.tile(state.mean, (state.lambda_pop, 1))
+    return state.mean + state.sigma * (z @ np.linalg.cholesky(dense_covariance(state)).T)

@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, data, pareto, synth
+from hvml import benchmark_results_path, cli, data, pareto, synth, trainer
 from hvml.cli import main
+
+import seed_panel
 
 
 @pytest.fixture()
@@ -81,6 +83,14 @@ class TestHv:
             assert run_cli(["hv", front, "--ref", "1,1", "--out", tmp_path / "o"]) == 2
             err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             assert (err["error"], err["exit_code"]) == ("DimensionError", 2)
+
+    def test_non_numeric_reference_exits_2(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        front.write_text("0.5,0.5,0.5\n")
+        assert run_cli(["hv", front, "--ref", "a,b,c", "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("ParseError", 2)
+        assert "--ref" in err["message"] and "a,b,c" in err["message"]
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
@@ -184,6 +194,23 @@ class TestTrain:
         assert run_cli(args + ["--out", out]) == 0
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 0
 
+    def test_dense_format_checkpoint_exits_2(self, toy_manifest, tmp_path, capsys):
+        # a state.npz from before the low-rank covariance holds cov, not cov_steps
+        out = tmp_path / "run"
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
+                "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
+        assert run_cli(args + ["--out", out]) == 0
+        with np.load(out / "state.npz") as blob:
+            arrays = dict(blob)
+        steps = arrays.pop("cov_steps")
+        arrays["cov"] = np.eye(steps.shape[1])
+        np.savez_compressed(out / "state.npz", **arrays)
+        capsys.readouterr()
+        assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "state.npz" in err["message"] and "cov_steps" in err["message"]
+
     def test_corrupt_checkpoint_numeric_failure_exits_4(self, toy_manifest, tmp_path, capsys):
         import struct
         bad = tmp_path / "bad.model"
@@ -194,16 +221,30 @@ class TestTrain:
         assert code == 4
 
     def test_copy_task_learns_through_cli(self, toy_manifest, tmp_path, capsys):
-        # full toy run surfaced end to end at a pinned seed: the final
-        # incumbent generalizes (test l1 small), and validation is learned too
+        # the command's training path (its split by the run seed, its
+        # flags) at every seed of the panel under both samplers: the final
+        # incumbent generalizes (test l1 small) and validation is learned
+        # too. Archive-HV tracking is off: it does not change the run.
+        def run(seed):
+            dataset = cli._prepare_dataset(toy_manifest, seed)
+            res = trainer.train(dataset, trainer.TrainConfig(
+                seed=seed, epochs=200, embedding=4, lambda_pop=16, mu=4, c_cov=0.1,
+                mc_samples=2000, track_archive_hv=False))
+            return res.final_test.l1 <= 0.05 and res.final.validation.l1 <= 0.1
+
+        passed = seed_panel.run_panel(run)
+        _, _, p = seed_panel.sign_test(passed)
+        assert p > seed_panel.ALPHA, seed_panel.summary(passed)
+
         out = tmp_path / "full"
         code = run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 4,
-                        "--epochs", 200, "--embedding", 4, "--lambda-pop", 16, "--mu", 4,
+                        "--epochs", 20, "--embedding", 4, "--lambda-pop", 16, "--mu", 4,
                         "--c-cov", 0.1, "--mc-samples", 2000])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["final"]["test"]["l1"] <= 0.05
-        assert summary["final"]["validation"]["l1"] <= 0.1
+        assert summary["epochs"] == 20 and summary["seed"] == 4
+        for split in ("validation", "test"):
+            assert 0.0 <= summary["final"][split]["l1"] <= 1.0
 
 
 class TestSweep:

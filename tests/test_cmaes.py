@@ -1,15 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hvml import cmaes
-from hvml.cmaes import (CmaState, default_weights, evolve, minimize_sphere,
-                        ranked_steps, repair_covariance, sample_population,
+from hvml.cmaes import (CmaState, covariance_weights, default_weights, evolve,
+                        minimize_sphere, ranked_steps, sample_population,
                         update_covariance, update_mean)
+
+from oracles import dense_covariance
 
 
 def small_state(n=2, lam=8, mu=4, sigma=0.5, c_cov=0.2, literal=False, weights=None):
     return CmaState.initial(n, sigma=sigma, lambda_pop=lam, mu=mu, c_cov=c_cov,
                             weights=weights, literal_updates=literal)
+
+
+def low_rank_cov(state):
+    """C = a I + sum_j w_j v_j v_j^T from the state's update vectors."""
+    a, w = covariance_weights(state)
+    return a * np.eye(state.n_dims) + (state.cov_steps.T * w) @ state.cov_steps
+
+
+def updated(state, steps):
+    return replace(state, cov_steps=update_covariance(state, steps))
 
 
 class TestWeights:
@@ -51,6 +64,25 @@ class TestSampling:
         state = small_state(n=5, lam=12)
         assert sample_population(state, 0).shape == (12, 5)
 
+    def test_sample_covariance_matches_adapted_covariance(self):
+        state = CmaState.initial(3, sigma=1.0, lambda_pop=100_000, mu=2, c_cov=0.3)
+        state = replace(state, cov_steps=np.array([[2.0, -1.0, 0.5], [0.3, 1.5, -2.0],
+                                                   [1.0, 1.0, 1.0]]))
+        cov = dense_covariance(state)
+        assert np.linalg.eigvalsh(cov)[0] < 0.5 * np.linalg.eigvalsh(cov)[-1]
+        pop = sample_population(state, 17)
+        assert np.abs(np.cov(pop.T) - cov).max() < 0.05 * np.abs(cov).max()
+        assert np.abs(pop.mean(axis=0)).max() < 0.03
+
+    def test_sampling_survives_rank_deficient_covariance(self):
+        # c_cov = 1 leaves C = v v^T: all spread lies along v
+        state = CmaState(mean=np.zeros(2), cov_steps=np.array([[1.0, 0.0]]),
+                         sigma=1.0, lambda_pop=4, mu=2,
+                         weights=default_weights(2), c_cov=1.0)
+        pop = sample_population(state, 0)
+        assert np.isfinite(pop).all()
+        assert (pop[:, 1] == 0.0).all() and (pop[:, 0] != 0.0).all()
+
 
 class TestMeanUpdate:
     def test_single_parent_moves_to_best(self):
@@ -81,22 +113,31 @@ class TestCovarianceUpdate:
     def test_zero_learning_rate_is_identity(self):
         state = small_state(c_cov=0.0)
         steps = ranked_steps(state, sample_population(state, 3)[: state.mu])
-        assert update_covariance(state, steps) == pytest.approx(state.cov)
+        assert np.array_equal(low_rank_cov(updated(state, steps)), np.eye(2))
 
     def test_full_learning_rate_outer_product(self):
         state = CmaState.initial(2, sigma=1.0, lambda_pop=4, mu=1, c_cov=1.0)
         steps = np.array([[1.0, 0.0]])
-        new = update_covariance(state, steps)
-        # pre-repair value [[1,0],[0,0]]; repair floors the zero eigenvalue
-        assert new[0, 0] == pytest.approx(1.0)
-        assert abs(new[0, 1]) < 1e-12 and abs(new[1, 0]) < 1e-12
-        assert 0.0 <= new[1, 1] <= 1e-10
+        assert np.array_equal(low_rank_cov(updated(state, steps)), [[1.0, 0.0], [0.0, 0.0]])
 
     def test_zero_steps_shrink_only(self):
         state = small_state(c_cov=0.3)
         steps = np.zeros((state.mu, 2))
-        new = update_covariance(state, steps)
-        assert new == pytest.approx(repair_covariance(0.7 * state.cov), abs=1e-12)
+        assert low_rank_cov(updated(state, steps)) == pytest.approx(0.7 * np.eye(2), abs=1e-15)
+
+    @pytest.mark.parametrize("c_cov,literal", [(0.0, False), (0.1, False), (1.0, False),
+                                               (0.1, True)])
+    def test_matches_dense_recurrence(self, c_cov, literal):
+        rng = np.random.default_rng(7)
+        state = small_state(n=6, lam=10, mu=5, sigma=0.05 if literal else 0.5,
+                            c_cov=c_cov, literal=literal)
+        for i in range(200):
+            pop = sample_population(state, i)
+            state = evolve(state, pop[rng.permutation(state.lambda_pop)[: state.mu]])
+            dense = dense_covariance(state)
+            scale = max(1.0, np.abs(dense).max())
+            assert np.abs(low_rank_cov(state) - dense).max() <= 1e-12 * scale, i
+        assert state.cov_steps.shape == (200, 6)
 
     def test_stays_symmetric_and_psd_over_many_updates(self):
         rng = np.random.default_rng(42)
@@ -105,8 +146,20 @@ class TestCovarianceUpdate:
             pop = sample_population(state, i)
             order = rng.permutation(state.lambda_pop)
             state = evolve(state, pop[order[: state.mu]])
-            assert np.abs(state.cov - state.cov.T).max() <= 1e-12
-            assert np.linalg.eigvalsh(state.cov)[0] >= 0.0
+            cov = low_rank_cov(state)
+            assert np.abs(cov - cov.T).max() <= 1e-12
+            assert np.linalg.eigvalsh(cov)[0] >= 0.0
+
+    def test_evolve_is_pure(self):
+        state = small_state(n=4, lam=8, mu=3, c_cov=0.2)
+        for i in range(3):
+            state = evolve(state, sample_population(state, i)[: state.mu])
+        mean, steps = state.mean.copy(), state.cov_steps.copy()
+        ranked = sample_population(state, 9)[: state.mu]
+        a, b = evolve(state, ranked), evolve(state, ranked)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov_steps, b.cov_steps)
+        assert np.array_equal(state.mean, mean) and np.array_equal(state.cov_steps, steps)
+        assert np.array_equal(a.cov_steps[:-1], steps)
 
 
 class TestLiteralUpdates:
@@ -121,25 +174,6 @@ class TestLiteralUpdates:
         theta = np.array([[2.0, 4.0]])
         steps = ranked_steps(state, theta)
         assert update_mean(state, steps) == pytest.approx([1 + 0.5 * 2, 1 + 0.5 * 4])
-
-
-class TestRepair:
-    def test_clamps_negative_eigenvalues(self):
-        c = np.array([[1.0, 0.0], [0.0, -0.5]])
-        fixed = repair_covariance(c)
-        assert np.linalg.eigvalsh(fixed)[0] >= cmaes.EIG_FLOOR * 0.99
-
-    def test_symmetrizes(self):
-        c = np.array([[1.0, 0.3], [0.1, 1.0]])
-        fixed = repair_covariance(c)
-        assert np.array_equal(fixed, fixed.T)
-
-    def test_sampling_survives_rank_deficient_covariance(self):
-        state = CmaState(mean=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                         sigma=1.0, lambda_pop=4, mu=2,
-                         weights=default_weights(2), c_cov=0.1)
-        pop = sample_population(state, 0)
-        assert np.isfinite(pop).all()
 
 
 class TestSphere:
