@@ -32,7 +32,7 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 
 _INPUT_ERRORS = (ParseError, DimensionError, FileNotFoundError, IsADirectoryError,
-                 PermissionError, json.JSONDecodeError, KeyError)
+                 PermissionError, KeyError)
 _PRECONDITION_ERRORS = (ConfigError, GridError, UndefinedMetricError, ValueError)
 _NUMERIC_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
 
@@ -45,8 +45,11 @@ def _fail(exc: Exception, code: int) -> int:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    raw = Path(os.path.expandvars(os.path.expanduser(path))).read_text()
-    cfg = json.loads(raw)
+    path = _expand_path(path)
+    try:
+        cfg = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"config file is not valid JSON: {exc}", path) from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg

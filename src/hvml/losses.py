@@ -18,6 +18,10 @@ is never optimized. Conventions that are not forced by the definitions:
 * micro F1 of two all-negative matrices is 1 (no possible error occurred);
 * BCE is the mean over samples of per-sample sums over labels, with scores
   clipped to [1e-7, 1 - 1e-7] before the logarithm.
+
+Every loss takes plain matrices, which it checks on each call, or a
+``Truth`` and ``Scores`` prepared once: the trainer checks and indexes each
+split's labels once per run and each score matrix once.
 """
 
 from __future__ import annotations
@@ -40,47 +44,85 @@ class LossVector(NamedTuple):
     l3: float  # 1 - micro F1
 
 
-def _as_2d(name: str, m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+def _as_2d(name: str, m, dtype=float) -> np.ndarray:
+    a = np.asarray(m, dtype=dtype)
     if a.ndim != 2 or a.size == 0:
         raise DimensionError(f"{name} must be a non-empty 2-D matrix, got shape {a.shape}")
     return a
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def _check_binary(name: str, m: np.ndarray) -> None:
-    if not np.isin(m, (0.0, 1.0)).all():
+def _binary(name: str, m) -> np.ndarray:
+    """A 0/1 matrix as booleans; a boolean matrix is binary by type and is
+    only checked for shape."""
+    if isinstance(m, np.ndarray) and m.dtype == bool:
+        return _as_2d(name, m, bool)
+    a = _as_2d(name, m)
+    if not ((a == 0.0) | (a == 1.0)).all():
         raise DimensionError(f"{name} must contain only 0/1 entries")
+    return a == 1.0
 
 
-def _check_scores(name: str, m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
-        raise DimensionError(f"{name} contains non-finite entries")
-    if (m < 0).any() or (m > 1).any():
-        raise DimensionError(f"{name} entries must lie in [0, 1]")
+class Truth:
+    """A binary label matrix, checked once and indexed for the losses.
+
+    Holds the boolean matrix, the (row, label) indices of its positive
+    entries in row-major order, the truth row of each positive as a
+    K x positives matrix, and each positive's LRAP weight
+    1 / (positives in its row * rows with a positive), so that LRAP is the
+    weighted sum of the positives' precisions. Every loss accepts a Truth
+    wherever it accepts a plain truth matrix.
+    """
+
+    __slots__ = ("matrix", "rows", "labels", "row_truth", "weights", "positives")
+
+    def __init__(self, truth):
+        self.matrix = _binary("truth", truth)
+        self.rows, self.labels = np.nonzero(self.matrix)
+        self.row_truth = np.ascontiguousarray(self.matrix[self.rows].T)
+        self.positives = int(self.rows.size)
+        per_row = np.count_nonzero(self.matrix, axis=1)
+        counted = np.count_nonzero(per_row)
+        self.weights = 1.0 / (per_row[self.rows] * counted) if counted else np.empty(0)
+
+
+class Scores:
+    """A score matrix checked once: 2-D, non-empty, finite, inside [0, 1].
+    The score-based losses accept one wherever they accept a plain matrix."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, scores):
+        s = _as_2d("scores", scores)
+        if not np.isfinite(s).all():
+            raise DimensionError("scores contains non-finite entries")
+        if (s < 0).any() or (s > 1).any():
+            raise DimensionError("scores entries must lie in [0, 1]")
+        self.matrix = s
+
+
+def _truth(truth, like: np.ndarray) -> Truth:
+    t = truth if isinstance(truth, Truth) else Truth(truth)
+    if like.shape != t.matrix.shape:
+        raise DimensionError(f"shape mismatch: {like.shape} vs {t.matrix.shape}")
+    return t
+
+
+def _scores(scores) -> np.ndarray:
+    return (scores if isinstance(scores, Scores) else Scores(scores)).matrix
 
 
 def binarize(scores, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Threshold scores into a 0/1 label matrix; the boundary is inclusive."""
+    """Threshold scores into a boolean label matrix; the boundary is inclusive."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    s = _as_2d("scores", scores)
-    _check_scores("scores", s)
-    return (s >= threshold).astype(np.int8)
+    return _scores(scores) >= threshold
 
 
 def hamming_loss(pred, truth) -> float:
     """Fraction of mismatched label slots over all N*K entries."""
-    p = _as_2d("pred", pred)
-    t = _as_2d("truth", truth)
-    _check_same_shape(p, t)
-    _check_binary("pred", p)
-    _check_binary("truth", t)
-    return float(np.mean(p != t))
+    p = _binary("pred", pred)
+    t = _truth(truth, p)
+    return float(np.mean(p != t.matrix))
 
 
 def lrap(scores, truth) -> float:
@@ -89,32 +131,19 @@ def lrap(scores, truth) -> float:
     For every true label of a sample: the fraction of labels scoring at
     least as high that are themselves true, averaged over the sample's true
     labels, then over samples. Samples with no positive label are skipped;
-    if every sample is skipped the metric is undefined.
+    if every sample is skipped the metric is undefined. Each positive entry
+    is compared with its own row only: a K x positives array, not the
+    N x K x K cube of all label pairs.
     """
-    s = _as_2d("scores", scores)
-    t = _as_2d("truth", truth)
-    _check_same_shape(s, t)
-    _check_scores("scores", s)
-    _check_binary("truth", t)
-
-    positives = t > 0.5
-    counted = positives.any(axis=1)
-    if not counted.any():
+    s = _scores(scores)
+    t = _truth(truth, s)
+    if t.positives == 0:
         raise UndefinedMetricError("LRAP is undefined: no sample has a positive label")
-
-    sc = s[counted]
-    pos = positives[counted]
-    per_sample = np.empty(sc.shape[0])
-    chunk = max(1, int(2e6) // (s.shape[1] * s.shape[1] + 1))
-    for lo in range(0, sc.shape[0], chunk):
-        sb = sc[lo:lo + chunk]
-        pb = pos[lo:lo + chunk]
-        at_least = sb[:, None, :] >= sb[:, :, None]        # [i, j, k]: score_k >= score_j
-        rank = at_least.sum(axis=2)                        # competition "max" rank of j
-        true_above = (at_least & pb[:, None, :]).sum(axis=2)
-        frac = np.where(pb, true_above / rank, 0.0)
-        per_sample[lo:lo + chunk] = frac.sum(axis=1) / pb.sum(axis=1)
-    return float(per_sample.mean())
+    # [k, p]: label k of positive p's row scores at least as high as p
+    at_least = np.take(s.T, t.rows, axis=1) >= s[t.rows, t.labels]
+    rank = at_least.sum(axis=0)                     # competition "max" rank of p
+    true_above = (at_least & t.row_truth).sum(axis=0)
+    return float(np.sum(t.weights * (true_above / rank)))
 
 
 def micro_f1(pred, truth) -> float:
@@ -122,14 +151,11 @@ def micro_f1(pred, truth) -> float:
 
     Returns 1 when both matrices are all-negative (vacuously perfect).
     """
-    p = _as_2d("pred", pred)
-    t = _as_2d("truth", truth)
-    _check_same_shape(p, t)
-    _check_binary("pred", p)
-    _check_binary("truth", t)
-    tp = float(np.sum((p == 1) & (t == 1)))
-    fp = float(np.sum((p == 1) & (t == 0)))
-    fn = float(np.sum((p == 0) & (t == 1)))
+    p = _binary("pred", pred)
+    t = _truth(truth, p)
+    tp = float(np.count_nonzero(p & t.matrix))
+    fp = float(np.count_nonzero(p)) - tp
+    fn = float(t.positives) - tp
     denom = 2.0 * tp + fp + fn
     if denom == 0.0:
         return 1.0
@@ -138,23 +164,24 @@ def micro_f1(pred, truth) -> float:
 
 def bce(scores, truth) -> float:
     """Binary cross-entropy: mean over samples of the per-sample sum over labels."""
-    s = _as_2d("scores", scores)
-    t = _as_2d("truth", truth)
-    _check_same_shape(s, t)
-    _check_scores("scores", s)
-    _check_binary("truth", t)
+    s = _scores(scores)
+    t = _truth(truth, s)
     p = np.clip(s, BCE_EPS, 1.0 - BCE_EPS)
-    per_sample = -(t * np.log(p) + (1.0 - t) * np.log1p(-p)).sum(axis=1)
+    per_sample = -np.where(t.matrix, np.log(p), np.log1p(-p)).sum(axis=1)
     return float(per_sample.mean())
 
 
 def loss_vector(scores, truth, threshold: float = DEFAULT_THRESHOLD) -> LossVector:
-    """The three optimized losses of a score matrix against binary truth."""
+    """The three optimized losses of a score matrix against binary truth.
+    Scores and truth are each checked once here, not once per loss."""
+    if not isinstance(scores, Scores):
+        scores = Scores(scores)
+    t = _truth(truth, scores.matrix)
     pred = binarize(scores, threshold)
     return LossVector(
-        l1=hamming_loss(pred, truth),
-        l2=1.0 - lrap(scores, truth),
-        l3=1.0 - micro_f1(pred, truth),
+        l1=hamming_loss(pred, t),
+        l2=1.0 - lrap(scores, t),
+        l3=1.0 - micro_f1(pred, t),
     )
 
 

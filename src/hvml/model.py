@@ -107,12 +107,10 @@ def row_standardize(m) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function that never overflows: exp only sees -|x|, which is
+    -x for x >= 0 (giving 1/(1+e^-x)) and x for x < 0 (giving e^x/(1+e^x))."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def forward(params: ModelParams, x) -> np.ndarray:

@@ -1,7 +1,10 @@
 """The training loop: hypervolume-contribution fitness driving a CMA-ES.
 
 Each epoch samples a population of parameter vectors and scores every
-candidate on the training and validation splits. A candidate's fitness is
+candidate with one forward pass over the training and validation rows
+stacked together (each output row depends only on its own input row), then
+takes the losses of each split against its label matrix, which is checked
+and indexed once per run (``losses.Truth``). A candidate's fitness is
 its exclusive hypervolume contribution within its own generation: the
 volume of loss space it alone dominates among the population's TRAINING
 loss vectors, bounded by the unit reference vector. Validation losses go
@@ -129,13 +132,13 @@ def evaluate(params: model.ModelParams, dataset: Dataset, split: str,
              threshold: float = 0.5) -> tuple[LossVector, float]:
     """Loss vector and BCE of a model on one split of a dataset."""
     x, y = dataset.rows(split)
-    scores = model.forward(params, x)
-    return losses.loss_vector(scores, y, threshold), losses.bce(scores, y)
+    return _split_losses(model.forward(params, x), losses.Truth(y), threshold)
 
 
-def _evaluate_xy(params, x, y, threshold):
-    scores = model.forward(params, x)
-    return losses.loss_vector(scores, y, threshold), losses.bce(scores, y)
+def _split_losses(scores, truth: losses.Truth, threshold: float) -> tuple[LossVector, float]:
+    """Loss vector and BCE of one split's scores; the scores are checked once."""
+    checked = losses.Scores(scores)
+    return losses.loss_vector(checked, truth, threshold), losses.bce(checked, truth)
 
 
 def _prune_archive(front: pareto.Front, cap: int) -> pareto.Front:
@@ -206,6 +209,14 @@ def train(dataset: Dataset, config: TrainConfig,
         raise ConfigError("dataset must be split before training")
     x_tr, y_tr = dataset.rows("train")
     x_va, y_va = dataset.rows("validation")
+    x_both = np.concatenate([x_tr, x_va])
+    n_tr = x_tr.shape[0]
+    truth_tr, truth_va = losses.Truth(y_tr), losses.Truth(y_va)
+
+    def eval_candidate(p):
+        scores = model.forward(p, x_both)
+        return (_split_losses(scores[:n_tr], truth_tr, config.threshold),
+                _split_losses(scores[n_tr:], truth_va, config.threshold))
 
     state = resume_state if resume_state is not None else _initial_state(dataset, config)
     cma = state.cma
@@ -215,10 +226,6 @@ def train(dataset: Dataset, config: TrainConfig,
             population = cmaes.sample_population(
                 cma, seeds.seed_sequence(config.seed, seeds.STREAM_SAMPLE, epoch))
             params = [model.ModelParams(theta, state.shape) for theta in population]
-
-            def eval_candidate(p):
-                return (_evaluate_xy(p, x_tr, y_tr, config.threshold),
-                        _evaluate_xy(p, x_va, y_va, config.threshold))
 
             if pool is None:
                 evals = [eval_candidate(p) for p in params]
@@ -359,11 +366,17 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
     refused (``allow_pickle=False``), so loading a file never runs code; a
     state file that is not such a checkpoint (an object array, a missing
     array, or arrays that do not fit the model shape) raises ``ParseError``
-    naming it."""
+    naming it, and so does a sidecar that is not valid JSON or whose config
+    or shape does not fit ``TrainConfig`` and ``ModelShape``."""
     out = Path(out_dir)
-    meta = json.loads((out / META_FILE).read_text())
-    config = TrainConfig(**meta["config"])
-    shape = model.ModelShape(*meta["shape"])
+    meta_path = out / META_FILE
+    try:
+        meta = json.loads(meta_path.read_text())
+        config = TrainConfig(**meta["config"])
+        shape = model.ModelShape(*meta["shape"])
+        epoch = int(meta["epoch"])
+    except (ValueError, KeyError, TypeError) as exc:   # JSONDecodeError is a ValueError
+        raise ParseError(f"not a readable checkpoint config: {exc}", meta_path) from exc
     inc_params = model.load_model(out / MODEL_FILE)
 
     def unpack_meta(row, params):
@@ -386,7 +399,7 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
             for key, flat, row in zip(blob["best_keys"], blob["best_params"], blob["best_meta"]):
                 bests[str(key)] = unpack_meta(row, model.ModelParams(flat, shape))
             state = TrainState(
-                cma=cma, shape=shape, epoch=int(meta["epoch"]),
+                cma=cma, shape=shape, epoch=epoch,
                 incumbent=unpack_meta(blob["incumbent_meta"], inc_params),
                 best_per_loss=bests,
                 archive=pareto.Front(blob["archive_points"],

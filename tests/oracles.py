@@ -26,6 +26,40 @@ def brute_lrap(scores, truth):
     return sum(totals) / len(totals)
 
 
+def cube_lrap(scores, truth):
+    """LRAP from the N x K x K cube of all label pairs, per-sample mean then
+    mean over samples that have a positive label (the package's former
+    implementation, chunked to keep the cube near 2e6 entries)."""
+    scores = np.asarray(scores, dtype=float)
+    positives = np.asarray(truth) == 1
+    counted = positives.any(axis=1)
+    sc = scores[counted]
+    pos = positives[counted]
+    per_sample = np.empty(sc.shape[0])
+    chunk = max(1, int(2e6) // (scores.shape[1] * scores.shape[1] + 1))
+    for lo in range(0, sc.shape[0], chunk):
+        sb = sc[lo:lo + chunk]
+        pb = pos[lo:lo + chunk]
+        at_least = sb[:, None, :] >= sb[:, :, None]        # [i, j, k]: score_k >= score_j
+        rank = at_least.sum(axis=2)
+        true_above = (at_least & pb[:, None, :]).sum(axis=2)
+        frac = np.where(pb, true_above / rank, 0.0)
+        per_sample[lo:lo + chunk] = frac.sum(axis=1) / pb.sum(axis=1)
+    return float(per_sample.mean())
+
+
+def masked_sigmoid(x):
+    """The logistic function by boolean masks: 1/(1+e^-x) on x >= 0 and
+    e^x/(1+e^x) elsewhere, each branch on its own entries only."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def brute_hamming(pred, truth):
     pred = np.asarray(pred)
     truth = np.asarray(truth)

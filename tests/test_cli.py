@@ -211,6 +211,31 @@ class TestTrain:
         assert err["error"] == "ParseError"
         assert "state.npz" in err["message"] and "cov_steps" in err["message"]
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: json.dumps({**json.loads(meta), "config": {
+            **json.loads(meta)["config"], "unknown_option": 1}}),
+        lambda meta: meta[: len(meta) // 2],
+    ], ids=["unknown-config-key", "not-json"])
+    def test_malformed_checkpoint_json_exits_2(self, toy_manifest, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
+                "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
+        assert run_cli(args + ["--out", out]) == 0
+        meta = out / "checkpoint.json"
+        meta.write_text(edit(meta.read_text()))
+        capsys.readouterr()
+        assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and "checkpoint.json" in err["message"]
+
+    def test_malformed_config_file_exits_2(self, toy_manifest, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("{bad")
+        assert run_cli(["train", "--config", cfg, "--manifest", toy_manifest,
+                        "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and "bad.json" in err["message"]
+
     def test_corrupt_checkpoint_numeric_failure_exits_4(self, toy_manifest, tmp_path, capsys):
         import struct
         bad = tmp_path / "bad.model"

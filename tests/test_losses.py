@@ -6,7 +6,7 @@ import pytest
 from hvml import losses
 from hvml.errors import DimensionError, UndefinedMetricError
 
-from oracles import brute_hamming, brute_lrap, brute_micro_f1
+from oracles import brute_hamming, brute_lrap, brute_micro_f1, cube_lrap
 
 
 class TestBinarize:
@@ -199,6 +199,97 @@ class TestLossVector:
             truth[truth.sum(axis=1) == 0, 0] = 1
             lv = losses.loss_vector(scores, truth)
             assert all(0.0 <= v <= 1.0 for v in lv)
+
+
+def _grid_case(rng, n, k):
+    """Scores on a 0.1 grid (ties, entries exactly at the 0.5 threshold) and
+    truth with some rows that have no positive label."""
+    scores = rng.integers(0, 11, (n, k)) / 10.0
+    truth = (rng.random((n, k)) < rng.uniform(0.05, 0.6)).astype(int)
+    truth[rng.random(n) < 0.2] = 0
+    if not truth.any():
+        truth[0, 0] = 1
+    return scores, truth
+
+
+class TestTruth:
+    def test_indexes_positives_row_major(self):
+        t = losses.Truth([[0, 1, 1], [0, 0, 0], [1, 0, 0]])
+        assert t.rows.tolist() == [0, 0, 2] and t.labels.tolist() == [1, 2, 0]
+        assert t.positives == 3
+        # two counted rows: a row with two positives weighs 1/4 each
+        assert t.weights.tolist() == [0.25, 0.25, 0.5]
+        assert t.matrix.dtype == bool
+
+    @pytest.mark.parametrize("bad", [[[0, 2]], [[0.5, 1]], [[np.nan, 1]], [0, 1], [[]]])
+    def test_checked_once_when_built(self, bad):
+        with pytest.raises(DimensionError):
+            losses.Truth(bad)
+
+    @pytest.mark.parametrize("bad", [[[0.2, np.nan]], [[1.5, 0.1]], [[-0.1, 0.3]], [0.4]])
+    def test_scores_checked_when_built(self, bad):
+        with pytest.raises(DimensionError):
+            losses.Scores(bad)
+
+    def test_shape_mismatch_with_prepared_truth(self):
+        t = losses.Truth([[1, 0], [0, 1]])
+        with pytest.raises(DimensionError):
+            losses.lrap([[0.3, 0.2, 0.1]], t)
+        with pytest.raises(DimensionError):
+            losses.hamming_loss(np.ones((2, 3), dtype=bool), t)
+
+    def test_boolean_prediction_needs_no_value_check(self):
+        pred = np.array([[True, False], [True, True]])
+        assert losses.hamming_loss(pred, [[1, 0], [0, 1]]) == 0.25
+        assert losses.micro_f1(pred, [[1, 0], [0, 1]]) == pytest.approx(0.8)
+
+    def test_undefined_lrap_through_prepared_truth(self):
+        t = losses.Truth(np.zeros((3, 4), dtype=int))
+        assert t.positives == 0
+        with pytest.raises(UndefinedMetricError):
+            losses.lrap(np.full((3, 4), 0.5), t)
+        with pytest.raises(UndefinedMetricError):
+            losses.loss_vector(losses.Scores(np.full((3, 4), 0.5)), t)
+
+
+class TestPreparedTruthMatchesOracles:
+    """The prepared path (Truth and Scores, as the trainer calls it) against
+    plain arrays and the independent oracles, over random populations."""
+
+    @pytest.mark.parametrize("k", [1, 6, 14, 53, 174])
+    def test_population(self, k):
+        rng = np.random.default_rng(1000 + k)
+        n = 40 if k < 100 else 12
+        scores0, truth = _grid_case(rng, n, k)
+        prepared = losses.Truth(truth)
+        for member in range(8):
+            scores = scores0 if member == 0 else _grid_case(rng, n, k)[0]
+            checked = losses.Scores(scores)
+            lv = losses.loss_vector(checked, prepared)
+            assert lv == losses.loss_vector(scores, truth)
+            assert losses.bce(checked, prepared) == losses.bce(scores, truth)
+            pred = (scores >= 0.5).astype(int)
+            assert lv.l1 == pytest.approx(brute_hamming(pred, truth), abs=1e-12)
+            assert lv.l2 == pytest.approx(1.0 - brute_lrap(scores, truth), abs=1e-12)
+            assert lv.l2 == pytest.approx(1.0 - cube_lrap(scores, truth), abs=1e-12)
+            assert lv.l3 == pytest.approx(1.0 - brute_micro_f1(pred, truth), abs=1e-12)
+
+    def test_bce_against_direct_sum(self):
+        rng = np.random.default_rng(12)
+        scores, truth = _grid_case(rng, 30, 14)
+        p = np.clip(scores, losses.BCE_EPS, 1 - losses.BCE_EPS)
+        direct = np.mean([-sum(np.log(p[i, j]) if truth[i, j] else np.log1p(-p[i, j])
+                               for j in range(14)) for i in range(30)])
+        got = losses.bce(losses.Scores(scores), losses.Truth(truth))
+        assert got == pytest.approx(direct, abs=1e-12)
+
+    def test_lrap_matches_cube_on_continuous_scores(self):
+        rng = np.random.default_rng(13)
+        for k in (2, 6, 14, 53):
+            scores = rng.random((200, k))
+            truth = (rng.random((200, k)) < 0.3).astype(int)
+            assert losses.lrap(scores, losses.Truth(truth)) == pytest.approx(
+                cube_lrap(scores, truth), abs=1e-12)
 
 
 class TestGeometricMean:

@@ -6,6 +6,8 @@ import pytest
 from hvml import model
 from hvml.errors import DimensionError, NumericError, ParseError
 
+from oracles import masked_sigmoid
+
 # frozen fixture: params from default_rng(14), inputs from default_rng(1001),
 # outputs recorded from the implementation and verified against a 50-digit
 # arbitrary-precision recomputation below
@@ -84,6 +86,25 @@ class TestRowStandardize:
     def test_population_std(self):
         # mean 2, population std 1 for [1, 3]
         assert model.row_standardize([[1.0, 3.0]]) == pytest.approx(np.array([[-1.0, 1.0]]))
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_masked_form(self):
+        edges = np.array([0.0, -0.0, 40.0, -40.0, 700.0, -700.0, 710.0, -745.0, -800.0,
+                          1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 1e308, -1e308])
+        rng = np.random.default_rng(11)
+        x = np.concatenate([edges, rng.standard_normal(1000) * 10, rng.uniform(-800, 800, 1000)])
+        for m in (x, x[:2016].reshape(63, 32)):
+            got = model._sigmoid(m)
+            want = masked_sigmoid(m)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(over="raise", under="ignore"):
+            out = model._sigmoid(np.array([-700.0, -40.0, 0.0, 40.0, 700.0]))
+        assert out[2] == 0.5 and out[-1] == 1.0 and 0.0 < out[0] < 1e-300
+        assert out[1] == pytest.approx(np.exp(-40.0), rel=1e-15)
 
 
 class TestForward:

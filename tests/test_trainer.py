@@ -126,6 +126,27 @@ class TestTrainLoop:
                                                   g=cfg.mc_samples, seed=seed)
                 assert r.fitness == pytest.approx(expected, abs=1e-15)
 
+    def test_one_forward_pass_per_candidate(self, toy_dataset, monkeypatch):
+        # train and validation rows are scored together; the other passes are
+        # the initial validation score and the test scores at the end
+        calls = []
+        real = model.forward
+        monkeypatch.setattr(model, "forward", lambda p, x: calls.append(len(x)) or real(p, x))
+        cfg = tiny_config(epochs=3)
+        res = train(toy_dataset, cfg)
+        n_tr = len(toy_dataset.split.train)
+        n_va = len(toy_dataset.split.validation)
+        in_loop = [n for n in calls if n == n_tr + n_va]
+        assert len(in_loop) == cfg.epochs * cfg.lambda_pop
+        assert len(calls) == len(in_loop) + 2 + len(res.best_per_loss)
+
+    def test_stacked_scores_match_per_split_evaluation(self, toy_dataset):
+        res = train(toy_dataset, tiny_config(epochs=3))
+        for inc in (res.final, *res.best_per_loss.values()):
+            lv, bce = evaluate(inc.params, toy_dataset, "validation")
+            assert np.allclose(lv, inc.validation, rtol=0, atol=1e-12)
+            assert bce == pytest.approx(inc.validation_bce, abs=1e-12)
+
     def test_incumbent_is_best_fitness_of_last_epoch(self, toy_dataset):
         res = train(toy_dataset, tiny_config(epochs=4))
         last = [r for r in res.curves if r.epoch == res.epochs_run]
@@ -245,6 +266,21 @@ class TestCheckpoint:
         with pytest.raises(ParseError) as err:
             trainer.load_checkpoint(tmp_path)
         assert err.value.path == tmp_path / trainer.STATE_FILE
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: "{not json",
+        lambda meta: meta.replace('"epochs"', '"unknown_option": 1, "epochs"'),
+        lambda meta: meta.replace('"shape": [', '"shape": [1, '),
+        lambda meta: meta.replace('"epoch"', '"era"'),
+    ], ids=["not-json", "unknown-config-key", "wrong-shape-length", "no-epoch"])
+    def test_malformed_sidecar_is_parse_error(self, toy_dataset, tmp_path, edit):
+        res = train(toy_dataset, tiny_config(epochs=1))
+        trainer.save_checkpoint(res.state, tiny_config(epochs=1), tmp_path)
+        meta = tmp_path / trainer.META_FILE
+        meta.write_text(edit(meta.read_text()))
+        with pytest.raises(ParseError) as err:
+            trainer.load_checkpoint(tmp_path)
+        assert err.value.path == meta
 
     def test_failed_save_keeps_previous_checkpoint(self, toy_dataset, tmp_path, monkeypatch):
         first = train(toy_dataset, tiny_config(epochs=2))
