@@ -1,11 +1,12 @@
 """Command-line entry point.
 
-Subcommands: train, hv, stats, report, sweep, eval. Every command resolves
-its configuration (JSON config file, overridden by flags), writes the
-resolved config next to its outputs so the run can be reproduced exactly,
-and exits with a stable code: 0 success, 2 input error, 3 precondition
-error, 4 numeric failure. Failures emit a machine-readable error JSON on
-stdout.
+Subcommands: train, hv, stats, report, sweep, eval; each takes only the
+flags it reads. train and sweep resolve their configuration in layers, later
+ones winning: a resumed checkpoint's config, the --config JSON file, then
+the flags. Every command writes its resolved config next to its outputs so
+the run can be reproduced exactly, and exits with a stable code: 0 success,
+2 input error, 3 precondition error, 4 numeric failure. Failures emit a
+machine-readable error JSON on stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,19 @@ _INPUT_ERRORS = (ParseError, DimensionError, FileNotFoundError, IsADirectoryErro
 _PRECONDITION_ERRORS = (ConfigError, GridError, UndefinedMetricError, ValueError)
 _NUMERIC_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
 
+_TRAIN_FIELDS = tuple(f.name for f in fields(trainer.TrainConfig))
+# what train and sweep resolve: the dataset manifest and every TrainConfig field
+_CONFIG_KEYS = ("manifest", *_TRAIN_FIELDS)
+# the keys a resumed run may change from its checkpoint
+_RESUMABLE_KEYS = ("epochs", "workers")
+
 
 def _fail(exc: Exception, code: int) -> int:
     print(json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code}))
     return code
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, allowed: tuple[str, ...]) -> dict:
     if path is None:
         return {}
     path = _expand_path(path)
@@ -52,18 +59,27 @@ def _load_config_file(path) -> dict:
         raise ParseError(f"config file is not valid JSON: {exc}", path) from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ParseError(f"unknown config key(s) {', '.join(unknown)}", path)
     return cfg
 
 
-def _resolve(args, file_cfg: dict, keys: list[str]) -> dict:
-    """Merge config-file values with CLI flags; flags win when given."""
-    resolved = {}
+def _resolve(args, keys: tuple[str, ...], base: dict | None = None) -> dict:
+    """Merge a run's configuration layers, later ones winning: ``base`` (a
+    resumed checkpoint's config), the --config file, then the flags given.
+    The file may hold ``keys`` and ``command``, which every command records.
+    A manifest is required; a run left without a seed gets a fresh one."""
+    file_cfg = _load_config_file(args.config, (*keys, "command"))
+    resolved = dict(base or {})
     for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif key in file_cfg:
             resolved[key] = file_cfg[key]
+    if "manifest" not in resolved:
+        raise ConfigError("a dataset manifest is required (--manifest or config)")
     if resolved.get("seed") is None:
         resolved["seed"] = secrets.randbits(32)
     return resolved
@@ -97,31 +113,36 @@ def _prepare_dataset(manifest_path, seed: int) -> data.Dataset:
 
 
 def _train_config(resolved: dict) -> trainer.TrainConfig:
-    keys = {f for f in trainer.TrainConfig.__dataclass_fields__}
-    return trainer.TrainConfig(**{k: v for k, v in resolved.items() if k in keys})
+    return trainer.TrainConfig(**{k: v for k, v in resolved.items() if k in _TRAIN_FIELDS})
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, [
-        "manifest", "seed", "epochs", "embedding", "mc_samples", "threshold",
-        "sigma", "lambda_pop", "mu", "c_cov", "literal_cma", "exact_fitness",
-        "archive_cap", "track_archive_hv", "workers", "sigma_rule",
-    ])
-    if "manifest" not in resolved:
-        raise ConfigError("train requires a dataset manifest (--manifest or config)")
+    resume_state, saved = None, {}
+    if args.resume:
+        resume_dir = _expand_path(args.resume)
+        resume_state, saved_cfg = trainer.load_checkpoint(resume_dir)
+        saved = asdict(saved_cfg)
+        curves_path = resume_dir / "curves.csv"
+        resume_state.curves = trainer.read_curves(curves_path)
+        if len(resume_state.curves) != resume_state.epoch * resume_state.cma.lambda_pop:
+            raise ParseError(f"holds {len(resume_state.curves)} candidate records, the "
+                             f"checkpoint needs {resume_state.epoch} x "
+                             f"{resume_state.cma.lambda_pop}", curves_path)
+    resolved = _resolve(args, _CONFIG_KEYS, base=saved)
+    for key, value in saved.items():
+        if key not in _RESUMABLE_KEYS and resolved[key] != value:
+            raise ConfigError(f"resume: {key} is {value!r} in the checkpoint, {resolved[key]!r} "
+                              f"was given; only {' and '.join(_RESUMABLE_KEYS)} may change")
+    config = _train_config(resolved)
+    if resume_state is not None and config.epochs < resume_state.epoch:
+        raise ConfigError(f"resume: epochs {config.epochs} is below the checkpoint's "
+                          f"epoch {resume_state.epoch}")
     out = _out_dir(args, "train")
     _write_resolved(out, "train", resolved)
-    config = _train_config(resolved)
     dataset = _prepare_dataset(resolved["manifest"], config.seed)
-
-    resume_state = None
-    if args.resume:
-        resume_state, saved_cfg = trainer.load_checkpoint(_expand_path(args.resume))
-        config = saved_cfg
     result = trainer.train(dataset, config, resume_state=resume_state)
 
     trainer.emit_curves(result.curves, out / "curves.csv")
@@ -226,16 +247,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    resolved = _resolve(args, file_cfg, [
-        "manifest", "seed", "epochs", "mc_samples", "threshold", "sigma",
-        "lambda_pop", "mu", "c_cov", "literal_cma", "exact_fitness", "workers",
-    ])
-    if "manifest" not in resolved:
-        raise ConfigError("sweep requires a dataset manifest")
-    c_values = [int(c) for c in args.c_list.split(",") if c.strip()]
+    resolved = _resolve(args, (*_CONFIG_KEYS, "c_list"))
+    if "embedding" in resolved:
+        raise ConfigError("sweep takes its embedding dimensions from c_list, not embedding")
+    c_values = [int(c) for c in resolved.get("c_list", [])]
     if not c_values:
-        raise ConfigError("sweep requires a non-empty embedding dimension list")
+        raise ConfigError("sweep requires a non-empty embedding dimension list "
+                          "(--c-list or config c_list)")
     out = _out_dir(args, "sweep")
     _write_resolved(out, "sweep", {**resolved, "c_list": c_values})
 
@@ -285,11 +303,34 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="root seed (auto-generated and recorded if absent)")
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default hvml_out/<command>)")
+
+
+def _add_run_flags(p: argparse.ArgumentParser, embedding: bool = True) -> None:
+    """The flags of train and sweep: one per _CONFIG_KEYS entry except
+    track_archive_hv (config file only) and, for sweep, embedding (from
+    --c-list)."""
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    _add_out(p)
+    p.add_argument("--manifest", help="dataset manifest JSON")
+    p.add_argument("--seed", type=int, help="root seed (auto-generated and recorded if absent)")
+    p.add_argument("--epochs", type=int)
+    if embedding:
+        p.add_argument("--embedding", type=int)
+    p.add_argument("--mc-samples", type=int)
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--lambda-pop", type=int)
+    p.add_argument("--mu", type=int)
+    p.add_argument("--c-cov", type=float)
+    p.add_argument("--exact-fitness", action="store_const", const=True)
+    p.add_argument("--archive-cap", type=int)
     p.add_argument("--workers", type=int, help="parallel evaluation workers")
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(c) for c in text.split(",") if c.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,26 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model from a dataset manifest")
-    _add_common(p)
-    p.add_argument("--manifest", help="dataset manifest JSON")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--embedding", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--lambda-pop", dest="lambda_pop", type=int)
-    p.add_argument("--mu", type=int)
-    p.add_argument("--c-cov", dest="c_cov", type=float)
-    p.add_argument("--exact-fitness", dest="exact_fitness", action="store_const", const=True)
-    p.add_argument("--literal-cma", dest="literal_cma", action="store_const", const=True)
-    p.add_argument("--archive-cap", dest="archive_cap", type=int)
-    p.add_argument("--sigma-rule", dest="sigma_rule", choices=("none", "fifth"),
-                   help="experimental one-fifth success rule for the step size")
+    _add_run_flags(p)
     p.add_argument("--resume", help="checkpoint directory to resume from")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("hv", help="hypervolume and contributions of a front CSV")
-    _add_common(p)
+    _add_out(p)
+    p.add_argument("--seed", type=int, help="root seed of the Monte Carlo estimates (default 0)")
     p.add_argument("front", help="CSV of loss triples; optional leading tag column")
     p.add_argument("--ref", help="reference vector as 'r1,r2,r3' (default 1,1,1)")
     p.add_argument("--mc-samples", dest="mc_samples", type=int,
@@ -325,34 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hv)
 
     p = sub.add_parser("stats", help="dataset statistics from a manifest")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--manifest", required=True)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("report", help="aggregate statistics over a results CSV")
-    _add_common(p)
+    _add_out(p)
     p.add_argument("results", help="CSV with dataset,method,l1,l2,l3[,geometric_mean]")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("sweep", help="train once per embedding dimension")
-    _add_common(p)
-    p.add_argument("--manifest", help="dataset manifest JSON")
-    p.add_argument("--c-list", dest="c_list", required=True,
-                   help="comma-separated embedding dimensions")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--lambda-pop", dest="lambda_pop", type=int)
-    p.add_argument("--mu", type=int)
-    p.add_argument("--c-cov", dest="c_cov", type=float)
-    p.add_argument("--exact-fitness", dest="exact_fitness", action="store_const", const=True)
-    p.add_argument("--literal-cma", dest="literal_cma", action="store_const", const=True)
+    _add_run_flags(p, embedding=False)
+    p.add_argument("--c-list", type=_int_list, help="comma-separated embedding dimensions")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a model checkpoint on one split")
-    _add_common(p)
+    _add_out(p)
+    p.add_argument("--seed", type=int, help="root seed of the run that made the split")
     p.add_argument("--checkpoint", required=True, help="binary model checkpoint")
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=("train", "validation", "test"), default="test")

@@ -20,10 +20,8 @@ with z ~ N(0, I_L) and n ~ N(0, I_t) independent, so its covariance is
 sigma^2 C. The sampler takes the (lambda, L) block z off the epoch's stream
 before the (lambda, t) block n. C is positive semi-definite by construction.
 
-Updates use mean-centered, sigma-normalized steps y_i = (theta_i - m) / sigma
-by default. Setting ``literal_updates`` feeds the raw sampled parameter
-vectors into both updates instead; that variant is kept for study only and
-is not dimensionally sensible as an optimizer.
+Both updates use mean-centered, sigma-normalized steps
+y_i = (theta_i - m) / sigma.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ class CmaState:
     mu: int
     weights: np.ndarray
     c_cov: float
-    literal_updates: bool = False
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -98,7 +95,7 @@ class CmaState:
 
     @classmethod
     def initial(cls, n_dims: int, mean=None, sigma: float = 0.3, lambda_pop=None,
-                mu=None, weights=None, c_cov=None, literal_updates: bool = False) -> "CmaState":
+                mu=None, weights=None, c_cov=None) -> "CmaState":
         lam = int(lambda_pop) if lambda_pop is not None else default_lambda(n_dims)
         m = int(mu) if mu is not None else max(1, lam // 2)
         return cls(
@@ -109,7 +106,6 @@ class CmaState:
             mu=m,
             weights=default_weights(m) if weights is None else np.asarray(weights, dtype=float),
             c_cov=float(c_cov) if c_cov is not None else default_c_cov(n_dims),
-            literal_updates=literal_updates,
         )
 
 
@@ -132,18 +128,13 @@ def sample_population(state: CmaState, seed) -> np.ndarray:
 
 
 def ranked_steps(state: CmaState, top_params: np.ndarray) -> np.ndarray:
-    """Steps of the top-mu parameter vectors (already sorted best-first).
-
-    Centered mode returns y_i = (theta_i - m) / sigma (zero steps when
-    sigma == 0, where every sample equals the mean); literal mode returns
-    the raw theta_i.
-    """
+    """Steps y_i = (theta_i - m) / sigma of the top-mu parameter vectors
+    (already sorted best-first); zero steps when sigma == 0, where every
+    sample equals the mean."""
     top = np.atleast_2d(np.asarray(top_params, dtype=float))
     if top.shape[0] < state.mu:
         raise ValueError(f"need at least mu={state.mu} ranked candidates, got {top.shape[0]}")
     top = top[: state.mu]
-    if state.literal_updates:
-        return top
     if state.sigma == 0.0:
         return np.zeros_like(top)
     return (top - state.mean) / state.sigma

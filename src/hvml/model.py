@@ -101,9 +101,9 @@ def unpack(params: ModelParams):
 def row_standardize(m) -> np.ndarray:
     """Per-row z-score with population std; constant rows map to zero."""
     a = np.asarray(m, dtype=float)
-    mean = a.mean(axis=-1, keepdims=True)
-    std = a.std(axis=-1, keepdims=True)
-    return (a - mean) / np.maximum(std, ROW_STD_EPS)
+    dev = a - a.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(dev * dev, axis=-1, keepdims=True))
+    return dev / np.maximum(std, ROW_STD_EPS)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import json
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +54,10 @@ class TrainConfig:
     lambda_pop: int | None = None
     mu: int | None = None
     c_cov: float | None = None
-    literal_cma: bool = False
     exact_fitness: bool = False      # force exact contributions at any front size
     archive_cap: int = 512
     track_archive_hv: bool = True
     workers: int = 1
-    # experimental: one-fifth success rule on sigma (success = positive fitness);
-    # off by default, the step size is otherwise constant
-    sigma_rule: str = "none"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -72,8 +68,6 @@ class TrainConfig:
             raise ConfigError("threshold must lie in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.sigma_rule not in ("none", "fifth"):
-            raise ConfigError(f"sigma_rule must be 'none' or 'fifth', got {self.sigma_rule!r}")
 
 
 @dataclass
@@ -164,8 +158,7 @@ def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     shape = model.ModelShape(d=dataset.d, c=config.embedding, k=dataset.k)
     cma = cmaes.CmaState.initial(
         shape.n_params, sigma=config.sigma, lambda_pop=config.lambda_pop,
-        mu=config.mu, c_cov=config.c_cov, literal_updates=config.literal_cma,
-    )
+        mu=config.mu, c_cov=config.c_cov)
     params0 = model.ModelParams(cma.mean.copy(), shape)
     val_lv, val_bce = evaluate(params0, dataset, "validation", config.threshold)
     seed0 = Incumbent(params0, val_lv, val_bce, epoch=0, candidate=-1)
@@ -252,10 +245,6 @@ def train(dataset: Dataset, config: TrainConfig,
             # distribution update from the top-mu by fitness (ties: candidate order)
             order = np.argsort(-fitness, kind="stable")
             cma = cmaes.evolve(cma, population[order[: cma.mu]])
-            if config.sigma_rule == "fifth":
-                success = float(np.mean(fitness > 0.0))
-                factor = np.exp((success - 0.2) / 3.0)
-                cma = replace(cma, sigma=float(np.clip(cma.sigma * factor, 1e-8, 10.0)))
 
             best_i = int(order[0])
             state.incumbent = Incumbent(params[best_i], evals[best_i][1][0],
@@ -339,7 +328,6 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
                 mean=state.cma.mean, cov_steps=state.cma.cov_steps, sigma=state.cma.sigma,
                 lambda_pop=state.cma.lambda_pop, mu=state.cma.mu,
                 weights=state.cma.weights, c_cov=state.cma.c_cov,
-                literal=state.cma.literal_updates,
                 archive_points=state.archive.points,
                 archive_tags=np.array(state.archive.tags, dtype=str),
                 archive_hv=np.array(state.archive_hv),
@@ -390,7 +378,6 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
                 mean=blob["mean"], cov_steps=blob["cov_steps"], sigma=float(blob["sigma"]),
                 lambda_pop=int(blob["lambda_pop"]), mu=int(blob["mu"]),
                 weights=blob["weights"], c_cov=float(blob["c_cov"]),
-                literal_updates=bool(blob["literal"]),
             )
             if cma.n_dims != shape.n_params:
                 raise ValueError(f"mean has {cma.n_dims} entries, shape {shape} needs "

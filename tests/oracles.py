@@ -60,6 +60,15 @@ def masked_sigmoid(x):
     return out
 
 
+def two_pass_standardize(m, eps=1e-8):
+    """Per-row z-score from numpy's mean and population std, each of which
+    computes the row mean itself; std deviations below eps count as eps."""
+    a = np.asarray(m, dtype=float)
+    mean = a.mean(axis=-1, keepdims=True)
+    std = a.std(axis=-1, keepdims=True)
+    return (a - mean) / np.maximum(std, eps)
+
+
 def brute_hamming(pred, truth):
     pred = np.asarray(pred)
     truth = np.asarray(truth)

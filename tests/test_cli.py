@@ -41,6 +41,42 @@ class TestStats:
         assert "absent.json" in err["message"]
 
 
+class TestFlags:
+    REQUIRED = {"stats": ["--manifest", "m.json"], "report": ["r.csv"], "hv": ["f.csv"],
+                "eval": ["--checkpoint", "c.model", "--manifest", "m.json"],
+                "train": [], "sweep": []}
+
+    @pytest.mark.parametrize("command,flag", [
+        ("stats", ["--seed", "1"]), ("stats", ["--config", "c.json"]),
+        ("report", ["--seed", "1"]), ("report", ["--config", "c.json"]),
+        ("report", ["--workers", "2"]),
+        ("hv", ["--workers", "2"]), ("hv", ["--config", "c.json"]),
+        ("eval", ["--workers", "2"]), ("eval", ["--config", "c.json"]),
+        ("train", ["--literal-cma"]), ("train", ["--sigma-rule", "fifth"]),
+        ("sweep", ["--literal-cma"]), ("sweep", ["--embedding", "3"]),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_flag_the_command_does_not_read_is_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.REQUIRED[command], *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_stats_refuses_workers(self, toy_manifest, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["stats", "--manifest", toy_manifest, "--workers", 2, "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_train_and_sweep_share_their_flags(self):
+        def flags(command):
+            sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+            return {opt for action in sub.choices[command]._actions
+                    for opt in action.option_strings}
+        assert flags("train") - flags("sweep") == {"--embedding", "--resume"}
+        assert flags("sweep") - flags("train") == {"--c-list"}
+        assert "--archive-cap" in flags("sweep")
+
+
 class TestHv:
     def test_single_row_total(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
@@ -175,6 +211,28 @@ class TestTrain:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["epochs"] == 2 and resolved["seed"] == 9
 
+    def test_unknown_config_key_exits_2(self, toy_manifest, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), "epoch": 5}))
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o", "--seed", 1]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "typo.json" in err["message"] and "epoch" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_resolved_config_reproduces_run(self, toy_manifest, tmp_path, capsys):
+        # no --seed: the drawn seed is recorded and the file alone repeats the run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"track_archive_hv": False, "archive_cap": 4}))
+        assert run_cli(["train", "--config", cfg, "--manifest", toy_manifest,
+                        "--out", tmp_path / "a", "--epochs", 3, "--embedding", 3,
+                        "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]) == 0
+        resolved = tmp_path / "a" / "resolved_config.json"
+        assert json.loads(resolved.read_text())["archive_cap"] == 4
+        assert run_cli(["train", "--config", resolved, "--out", tmp_path / "b"]) == 0
+        for name in ("summary.json", "curves.csv", "incumbent.model"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_eval_round_trip(self, toy_manifest, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 5,
@@ -193,6 +251,86 @@ class TestTrain:
                 "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--out", out]) == 0
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 0
+
+    def test_resume_continues_to_requested_epochs(self, toy_manifest, tmp_path, capsys):
+        # train(2) then resume to 4 equals train(4): the resumed run takes the
+        # checkpoint's seed (none is given) and so its split, and its
+        # curves.csv covers every epoch
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]
+        assert run_cli(args + ["--epochs", 2, "--out", tmp_path / "two"]) == 0
+        assert run_cli(args + ["--epochs", 4, "--out", tmp_path / "four"]) == 0
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
+                        "--epochs", 4, "--out", tmp_path / "resumed"]) == 0
+        for name in ("summary.json", "curves.csv", "incumbent.model"):
+            assert ((tmp_path / "resumed" / name).read_bytes()
+                    == (tmp_path / "four" / name).read_bytes()), name
+        resolved = json.loads((tmp_path / "resumed" / "resolved_config.json").read_text())
+        assert resolved["seed"] == 5 and resolved["epochs"] == 4
+        assert json.loads((tmp_path / "resumed" / "summary.json").read_text())["epochs"] == 4
+        _, saved = trainer.load_checkpoint(tmp_path / "resumed")
+        assert (saved.seed, saved.epochs) == (5, 4)
+
+    def test_resume_may_change_workers(self, toy_manifest, tmp_path, capsys):
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]
+        assert run_cli(args + ["--epochs", 1, "--out", tmp_path / "one"]) == 0
+        assert run_cli(args + ["--epochs", 3, "--out", tmp_path / "three"]) == 0
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "one",
+                        "--epochs", 3, "--workers", 2, "--out", tmp_path / "resumed"]) == 0
+        assert ((tmp_path / "resumed" / "curves.csv").read_bytes()
+                == (tmp_path / "three" / "curves.csv").read_bytes())
+
+    @pytest.mark.parametrize("change,key", [
+        (["--seed", 6], "seed"), (["--sigma", 0.5], "sigma"), (["--embedding", 4], "embedding"),
+        (["--config", "cfg.json"], "mc_samples"),
+    ])
+    def test_resume_refuses_changed_setting(self, toy_manifest, tmp_path, capsys, change, key):
+        (tmp_path / "cfg.json").write_text(json.dumps({"mc_samples": 700}))
+        change = [tmp_path / c if c == "cfg.json" else c for c in change]
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500, "--epochs", 1]
+        assert run_cli(args + ["--out", tmp_path / "one"]) == 0
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "one",
+                        "--out", tmp_path / "resumed", *change]) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and key in err["message"]
+        assert not (tmp_path / "resumed").exists()
+
+    def test_resume_below_checkpoint_epoch_exits_3(self, toy_manifest, tmp_path, capsys):
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]
+        assert run_cli(args + ["--epochs", 2, "--out", tmp_path / "two"]) == 0
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
+                        "--epochs", 1, "--out", tmp_path / "resumed"]) == 3
+
+    def test_resume_with_mismatched_curves_exits_2(self, toy_manifest, tmp_path, capsys):
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500, "--epochs", 2]
+        out = tmp_path / "two"
+        assert run_cli(args + ["--out", out]) == 0
+        curves = out / "curves.csv"
+        curves.write_text("".join(curves.read_text().splitlines(keepends=True)[:-2]))
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out, "--epochs", 3,
+                        "--out", tmp_path / "resumed"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and "curves.csv" in err["message"]
+
+    def test_checkpoint_with_removed_options_exits_2(self, toy_manifest, tmp_path, capsys):
+        # checkpoints that still record the removed optimizer variants
+        out = tmp_path / "run"
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
+                "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
+        assert run_cli(args + ["--out", out]) == 0
+        meta = json.loads((out / "checkpoint.json").read_text())
+        meta["config"].update(literal_cma=False, sigma_rule="none")
+        (out / "checkpoint.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and "checkpoint.json" in err["message"]
 
     def test_dense_format_checkpoint_exits_2(self, toy_manifest, tmp_path, capsys):
         # a state.npz from before the low-rank covariance holds cov, not cov_steps
@@ -292,6 +430,41 @@ class TestSweep:
         assert run_cli(args + ["--out", tmp_path / "a"]) == 0
         assert run_cli(args + ["--out", tmp_path / "b"]) == 0
         assert (tmp_path / "a" / "sweep.csv").read_text() == (tmp_path / "b" / "sweep.csv").read_text()
+
+    def test_config_file_options_reach_every_run(self, toy_manifest, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), "c_list": [2, 3],
+                                   "track_archive_hv": False, "epochs": 2, "lambda_pop": 8,
+                                   "mu": 3, "mc_samples": 300, "command": "sweep"}))
+        out = tmp_path / "sweep"
+        assert run_cli(["sweep", "--config", cfg, "--out", out, "--seed", 3]) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+        assert all(line.endswith(",None") for line in lines[1:])
+        assert (out / "archive_hv_c2.csv").read_text().strip() == "epoch,archive_hv"
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["track_archive_hv"] is False and resolved["c_list"] == [2, 3]
+
+    def test_archive_cap_flag(self, toy_manifest, tmp_path, capsys, monkeypatch):
+        caps = []
+        real_train = trainer.train
+
+        def recording_train(dataset, config, **kwargs):
+            caps.append(config.archive_cap)
+            return real_train(dataset, config, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", recording_train)
+        assert run_cli(["sweep", "--manifest", toy_manifest, "--c-list", "2",
+                        "--out", tmp_path / "o", "--seed", 3, "--epochs", 1,
+                        "--lambda-pop", 8, "--mu", 3, "--mc-samples", 300,
+                        "--archive-cap", 5]) == 0
+        assert caps == [5]
+
+    def test_embedding_in_config_exits_3(self, toy_manifest, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"embedding": 4}))
+        assert run_cli(["sweep", "--config", cfg, "--manifest", toy_manifest,
+                        "--c-list", "2", "--out", tmp_path / "o", "--seed", 1]) == 3
 
     def test_empty_c_list_exits_3(self, toy_manifest, tmp_path, capsys):
         assert run_cli(["sweep", "--manifest", toy_manifest, "--c-list", ",",

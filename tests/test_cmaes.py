@@ -10,9 +10,9 @@ from hvml.cmaes import (CmaState, covariance_weights, default_weights, evolve,
 from oracles import dense_covariance
 
 
-def small_state(n=2, lam=8, mu=4, sigma=0.5, c_cov=0.2, literal=False, weights=None):
+def small_state(n=2, lam=8, mu=4, sigma=0.5, c_cov=0.2, weights=None):
     return CmaState.initial(n, sigma=sigma, lambda_pop=lam, mu=mu, c_cov=c_cov,
-                            weights=weights, literal_updates=literal)
+                            weights=weights)
 
 
 def low_rank_cov(state):
@@ -125,12 +125,11 @@ class TestCovarianceUpdate:
         steps = np.zeros((state.mu, 2))
         assert low_rank_cov(updated(state, steps)) == pytest.approx(0.7 * np.eye(2), abs=1e-15)
 
-    @pytest.mark.parametrize("c_cov,literal", [(0.0, False), (0.1, False), (1.0, False),
-                                               (0.1, True)])
-    def test_matches_dense_recurrence(self, c_cov, literal):
+    @pytest.mark.parametrize("c_cov", [0.0, 0.1, 1.0],
+                             ids=["0.0-False", "0.1-False", "1.0-False"])
+    def test_matches_dense_recurrence(self, c_cov):
         rng = np.random.default_rng(7)
-        state = small_state(n=6, lam=10, mu=5, sigma=0.05 if literal else 0.5,
-                            c_cov=c_cov, literal=literal)
+        state = small_state(n=6, lam=10, mu=5, sigma=0.5, c_cov=c_cov)
         for i in range(200):
             pop = sample_population(state, i)
             state = evolve(state, pop[rng.permutation(state.lambda_pop)[: state.mu]])
@@ -160,20 +159,6 @@ class TestCovarianceUpdate:
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov_steps, b.cov_steps)
         assert np.array_equal(state.mean, mean) and np.array_equal(state.cov_steps, steps)
         assert np.array_equal(a.cov_steps[:-1], steps)
-
-
-class TestLiteralUpdates:
-    def test_literal_steps_are_raw_parameters(self):
-        state = small_state(literal=True)
-        pop = sample_population(state, 5)[: state.mu]
-        assert np.array_equal(ranked_steps(state, pop), pop)
-
-    def test_literal_mean_update(self):
-        state = CmaState.initial(2, mean=[1.0, 1.0], sigma=0.5, lambda_pop=4, mu=1,
-                                 c_cov=0.1, literal_updates=True)
-        theta = np.array([[2.0, 4.0]])
-        steps = ranked_steps(state, theta)
-        assert update_mean(state, steps) == pytest.approx([1 + 0.5 * 2, 1 + 0.5 * 4])
 
 
 class TestSphere:

@@ -6,7 +6,7 @@ import pytest
 from hvml import model
 from hvml.errors import DimensionError, NumericError, ParseError
 
-from oracles import masked_sigmoid
+from oracles import masked_sigmoid, two_pass_standardize
 
 # frozen fixture: params from default_rng(14), inputs from default_rng(1001),
 # outputs recorded from the implementation and verified against a 50-digit
@@ -86,6 +86,19 @@ class TestRowStandardize:
     def test_population_std(self):
         # mean 2, population std 1 for [1, 3]
         assert model.row_standardize([[1.0, 3.0]]) == pytest.approx(np.array([[-1.0, 1.0]]))
+
+    def test_bitwise_equal_to_two_pass_form(self):
+        rng = np.random.default_rng(5)
+        huge = np.array([[1e300, -1e300, 1e300], [1e300, 1e300, 1e300], [-1e300, 0.0, 5.0],
+                         [1e300, 1e300, -1e300]])
+        cases = [rng.standard_normal((40, 13)) * 10.0 ** rng.uniform(-8, 8, (40, 1)),
+                 rng.uniform(-3, 3, (1933, 4)), np.full((3, 7), 2.5), np.zeros((2, 5)),
+                 huge, -huge, rng.standard_normal(9), rng.standard_normal((63, 4)).T]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in cases:
+                got, want = model.row_standardize(m), two_pass_standardize(m)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSigmoid:

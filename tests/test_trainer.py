@@ -56,6 +56,8 @@ class TestTrainLoop:
         assert np.array_equal(a.final.params.flat, b.final.params.flat)
         assert a.final.validation == b.final.validation
         assert [r.fitness for r in a.curves] == [r.fitness for r in b.curves]
+        # no step-size adaptation: sigma stays at its initial value
+        assert a.state.cma.sigma == b.state.cma.sigma == 0.3
 
     def test_deterministic_across_worker_counts(self, toy_dataset):
         a = train(toy_dataset, tiny_config(workers=1))
@@ -165,19 +167,6 @@ class TestTrainLoop:
         ds = ds.with_split(bad)
         with pytest.raises(ConfigError):
             train(ds, tiny_config(epochs=1))
-
-    def test_experimental_fifth_rule_moves_sigma(self, toy_dataset):
-        plain = train(toy_dataset, tiny_config(epochs=5))
-        adapted = train(toy_dataset, tiny_config(epochs=5, sigma_rule="fifth"))
-        assert plain.state.cma.sigma == pytest.approx(0.3)
-        assert adapted.state.cma.sigma != pytest.approx(0.3)
-        # still deterministic
-        again = train(toy_dataset, tiny_config(epochs=5, sigma_rule="fifth"))
-        assert again.state.cma.sigma == adapted.state.cma.sigma
-
-    def test_bad_sigma_rule_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_config(sigma_rule="sometimes")
 
 
 class TestCurvesCsv:
