@@ -17,6 +17,7 @@ import json
 import os
 import secrets
 import sys
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -40,8 +41,8 @@ _NUMERIC_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
 _TRAIN_FIELDS = tuple(f.name for f in fields(trainer.TrainConfig))
 # what train and sweep resolve: the dataset manifest and every TrainConfig field
 _CONFIG_KEYS = ("manifest", *_TRAIN_FIELDS)
-# the keys a resumed run may change from its checkpoint
-_RESUMABLE_KEYS = ("epochs", "workers")
+# the type each such key and sweep's c_list must have in a --config file
+_KEY_TYPES = {**typing.get_type_hints(trainer.TrainConfig), "manifest": str, "c_list": list[int]}
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -62,7 +63,24 @@ def _load_config_file(path, allowed: tuple[str, ...]) -> dict:
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
         raise ParseError(f"unknown config key(s) {', '.join(unknown)}", path)
+    for key, value in cfg.items():
+        hint = _KEY_TYPES.get(key)
+        if hint is not None and not _fits(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ParseError(f"config key {key} must be {name}, got {value!r}", path)
     return cfg
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: a bool is not an int, an int is
+    a float, None fits only an optional field and a list only a list type."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if hint is float:
+        return _fits(value, int) or isinstance(value, float)
+    if isinstance(hint, type):
+        return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+    return any(_fits(value, h) for h in typing.get_args(hint))   # an optional type
 
 
 def _resolve(args, keys: tuple[str, ...], base: dict | None = None) -> dict:
@@ -133,9 +151,9 @@ def cmd_train(args) -> int:
                              f"{resume_state.cma.lambda_pop}", curves_path)
     resolved = _resolve(args, _CONFIG_KEYS, base=saved)
     for key, value in saved.items():
-        if key not in _RESUMABLE_KEYS and resolved[key] != value:
+        if key != "epochs" and resolved[key] != value:
             raise ConfigError(f"resume: {key} is {value!r} in the checkpoint, {resolved[key]!r} "
-                              f"was given; only {' and '.join(_RESUMABLE_KEYS)} may change")
+                              f"was given; only epochs may change")
     config = _train_config(resolved)
     if resume_state is not None and config.epochs < resume_state.epoch:
         raise ConfigError(f"resume: epochs {config.epochs} is below the checkpoint's "
@@ -192,7 +210,7 @@ def cmd_hv(args) -> int:
     out = _out_dir(args, "hv")
     _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
                                 "mc_samples": args.mc_samples, "seed": args.seed or 0})
-    total = pareto.exact_hypervolume([p for p, _ in rows], ref)
+    total = pareto.exact_hypervolume(rows, ref)
     lines = [f"total_hypervolume {total:.6f}"]
     report_rows = []
     for vec, tag in rows:
@@ -250,12 +268,12 @@ def cmd_sweep(args) -> int:
     resolved = _resolve(args, (*_CONFIG_KEYS, "c_list"))
     if "embedding" in resolved:
         raise ConfigError("sweep takes its embedding dimensions from c_list, not embedding")
-    c_values = [int(c) for c in resolved.get("c_list", [])]
+    c_values = resolved.get("c_list")
     if not c_values:
         raise ConfigError("sweep requires a non-empty embedding dimension list "
                           "(--c-list or config c_list)")
     out = _out_dir(args, "sweep")
-    _write_resolved(out, "sweep", {**resolved, "c_list": c_values})
+    _write_resolved(out, "sweep", resolved)
 
     rows = []
     for c in c_values:
@@ -326,7 +344,6 @@ def _add_run_flags(p: argparse.ArgumentParser, embedding: bool = True) -> None:
     p.add_argument("--c-cov", type=float)
     p.add_argument("--exact-fitness", action="store_const", const=True)
     p.add_argument("--archive-cap", type=int)
-    p.add_argument("--workers", type=int, help="parallel evaluation workers")
 
 
 def _int_list(text: str) -> list[int]:

@@ -72,42 +72,20 @@ class Front:
 
 
 def _points_tags(front) -> tuple[np.ndarray, list[str]]:
-    """Normalize a Front, (vector, tag) pairs, or bare vectors into arrays."""
+    """The points and tags of a Front or of a sequence of (3-vector, tag) pairs."""
     if isinstance(front, Front):
         return front.points, list(front.tags)
-    if isinstance(front, np.ndarray):
-        pts = np.atleast_2d(np.asarray(front, dtype=float))
-        return pts, [str(i) for i in range(pts.shape[0])]
     items = list(front)
-    if not items:
-        return np.empty((0, 3)), []
-    first = items[0]
-    is_pair = (isinstance(first, (tuple, list)) and len(first) == 2
-               and np.asarray(first[0], dtype=float).size == 3)
-    if is_pair:
-        pts = np.asarray([np.asarray(p, dtype=float) for p, _ in items])
-        return pts, [str(t) for _, t in items]
-    pts = np.atleast_2d(np.asarray([np.asarray(p, dtype=float) for p in items]))
-    return pts, [str(i) for i in range(pts.shape[0])]
-
-
-def nondominated_filter(points) -> Front:
-    """Keep exactly the points not dominated by any other; duplicates keep the
-    first occurrence. Input order is preserved among survivors."""
-    pts, tags = _points_tags(points)
-    n = pts.shape[0]
-    if n == 0:
-        return Front(np.empty((0, 3)), ())
-    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
-    eq = (pts[:, None, :] == pts[None, :, :]).all(axis=2)
-    dominated = (le & ~eq).any(axis=0)
-    earlier_dup = np.array([eq[:j, j].any() for j in range(n)])
-    keep = ~dominated & ~earlier_dup
-    return Front(pts[keep], tuple(t for t, k in zip(tags, keep) if k))
+    if not all(isinstance(item, (tuple, list)) and len(item) == 2 and np.shape(item[0]) == (3,)
+               for item in items):
+        raise DimensionError("a front is a Front or a sequence of (3-vector, tag) pairs")
+    return np.array([p for p, _ in items], dtype=float).reshape(-1, 3), [str(t) for _, t in items]
 
 
 def update_reference_set(front: Front, new_points) -> Front:
-    """Mutually non-dominated subset of the union of a front and new points."""
+    """Mutually non-dominated subset of the union of a front and new points,
+    in order: a new point weakly dominated by a kept one (its duplicate
+    included) is dropped, and an accepted one drops the points it dominates."""
     pts, tags = _points_tags(front)
     new_pts, new_tags = _points_tags(new_points)
     cur = list(zip(pts, tags))
@@ -116,9 +94,7 @@ def update_reference_set(front: Front, new_points) -> Front:
             continue  # dominated by (or duplicate of) an incumbent
         cur = [(q, qt) for q, qt in cur if not (np.all(p <= q) and np.any(p < q))]
         cur.append((p, t))
-    if not cur:
-        return Front(np.empty((0, 3)), ())
-    return Front(np.asarray([q for q, _ in cur]), tuple(t for _, t in cur))
+    return Front([q for q, _ in cur], tuple(t for _, t in cur))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +168,7 @@ def exact_contribution(front, tag, ref=UNIT_REF) -> float:
         return 0.0
     if others.size and (others <= p).all(axis=1).any():
         return 0.0
-    full = exact_hypervolume(pts, ref)
-    rest = exact_hypervolume(others, ref)
-    return max(0.0, full - rest)
+    return max(0.0, _hv_sweep(pts, ref) - _hv_sweep(others, ref))
 
 
 @dataclass
@@ -218,7 +192,7 @@ def hv_decomposition(front, ref=UNIT_REF) -> HvResult:
     contributions: dict[str, float] = {}
     prev_vol = 0.0
     for i, t in enumerate(tags):
-        cur_vol = exact_hypervolume(pts[: i + 1], ref)
+        cur_vol = _hv_sweep(pts[: i + 1], ref)
         contributions[t] = max(0.0, cur_vol - prev_vol)
         prev_vol = cur_vol
     return HvResult(total=prev_vol, contributions=contributions)

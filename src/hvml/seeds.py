@@ -3,8 +3,8 @@
 All randomness in a run flows from one root seed. Independent streams are
 derived from (root, stream, *key) tuples via numpy's SeedSequence, so any
 component can be re-derived in isolation: results do not depend on the order
-in which streams are consumed, which is what makes candidate-level
-parallelism and checkpoint resume bit-identical to a sequential run.
+in which streams are consumed, which is what makes a resumed run
+bit-identical to an uninterrupted one.
 
 Stream ids used by the package:
 

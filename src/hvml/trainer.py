@@ -14,8 +14,8 @@ touch fitness; the test split is only evaluated once at the end.
 Fitness uses the Monte Carlo estimator with one seeded stream per (epoch,
 candidate) pair, switching to the exact contribution when the population is
 small enough for exactness to be cheap (or always, with ``exact_fitness``).
-Everything derives from one root seed, so runs are bit-identical across
-repeats and worker counts.
+Everything derives from one root seed, so repeats are bit-identical and a
+resumed run equals an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,7 +56,6 @@ class TrainConfig:
     exact_fitness: bool = False      # force exact contributions at any front size
     archive_cap: int = 512
     track_archive_hv: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -66,8 +64,6 @@ class TrainConfig:
             raise ConfigError("mc_samples must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass
@@ -164,7 +160,7 @@ def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     seed0 = Incumbent(params0, val_lv, val_bce, epoch=0, candidate=-1)
     bests: dict[str, Incumbent] = {}
     _update_bests(bests, seed0)
-    archive = pareto.nondominated_filter([(np.asarray(val_lv), "e0")])
+    archive = pareto.Front([val_lv], ("e0",))
     state = TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0,
                        best_per_loss=bests, archive=archive)
     if config.track_archive_hv:
@@ -172,8 +168,7 @@ def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     return state
 
 
-def _fitness(train_vecs: np.ndarray, config: TrainConfig,
-             epoch: int, pool) -> np.ndarray:
+def _fitness(train_vecs: np.ndarray, config: TrainConfig, epoch: int) -> np.ndarray:
     """Per-candidate fitness: exclusive hypervolume contribution within the
     generation's own training loss vectors, bounded by the unit vector (the
     Monte Carlo sampling space). Scoping the contribution to the generation
@@ -181,18 +176,13 @@ def _fitness(train_vecs: np.ndarray, config: TrainConfig,
     is never empty, unlike contributions measured against the all-time
     archive, which starve to zero once the archive outruns the distribution."""
     lam = train_vecs.shape[0]
-    front = list(zip(train_vecs, [str(i) for i in range(lam)]))
-    use_exact = config.exact_fitness or lam <= EXACT_FITNESS_MAX_POINTS
-
-    def one(i: int) -> float:
-        if use_exact:
-            return pareto.exact_contribution(front, str(i))
-        seed = seeds.seed_sequence(config.seed, seeds.STREAM_MC, epoch, i)
-        return pareto.mc_contribution(front, str(i), g=config.mc_samples, seed=seed)
-
-    if pool is None:
-        return np.array([one(i) for i in range(lam)])
-    return np.array(list(pool.map(one, range(lam))))
+    front = pareto.Front(train_vecs, tuple(str(i) for i in range(lam)))
+    if config.exact_fitness or lam <= EXACT_FITNESS_MAX_POINTS:
+        return np.array([pareto.exact_contribution(front, str(i)) for i in range(lam)])
+    return np.array([
+        pareto.mc_contribution(front, str(i), g=config.mc_samples,
+                               seed=seeds.seed_sequence(config.seed, seeds.STREAM_MC, epoch, i))
+        for i in range(lam)])
 
 
 def train(dataset: Dataset, config: TrainConfig,
@@ -213,47 +203,39 @@ def train(dataset: Dataset, config: TrainConfig,
 
     state = resume_state if resume_state is not None else _initial_state(dataset, config)
     cma = state.cma
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
-    try:
-        for epoch in range(state.epoch + 1, config.epochs + 1):
-            population = cmaes.sample_population(
-                cma, seeds.seed_sequence(config.seed, seeds.STREAM_SAMPLE, epoch))
-            params = [model.ModelParams(theta, state.shape) for theta in population]
+    for epoch in range(state.epoch + 1, config.epochs + 1):
+        population = cmaes.sample_population(
+            cma, seeds.seed_sequence(config.seed, seeds.STREAM_SAMPLE, epoch))
+        params = [model.ModelParams(theta, state.shape) for theta in population]
 
-            if pool is None:
-                evals = [eval_candidate(p) for p in params]
-            else:
-                evals = list(pool.map(eval_candidate, params))
-            train_vecs = np.array([np.asarray(tr[0]) for tr, _ in evals])
+        evals = [eval_candidate(p) for p in params]
+        train_vecs = np.array([np.asarray(tr[0]) for tr, _ in evals])
 
-            fitness = _fitness(train_vecs, config, epoch, pool)
+        fitness = _fitness(train_vecs, config, epoch)
 
-            # archives and curves use validation losses only
-            for i, ((tr_lv, tr_bce), (va_lv, va_bce)) in enumerate(evals):
-                state.curves.append(CandidateRecord(
-                    epoch=epoch, candidate=i, train=tr_lv, train_bce=tr_bce,
-                    validation=va_lv, validation_bce=va_bce, fitness=float(fitness[i])))
-                cand = Incumbent(params[i], va_lv, va_bce, epoch=epoch, candidate=i)
-                _update_bests(state.best_per_loss, cand)
-            val_pairs = [(np.asarray(evals[i][1][0]), f"e{epoch}c{i}")
-                         for i in range(len(params))]
-            state.archive = pareto.update_reference_set(state.archive, val_pairs)
-            state.archive = _prune_archive(state.archive, config.archive_cap)
-            if config.track_archive_hv:
-                state.archive_hv.append(pareto.exact_hypervolume(state.archive))
+        # archives and curves use validation losses only
+        for i, ((tr_lv, tr_bce), (va_lv, va_bce)) in enumerate(evals):
+            state.curves.append(CandidateRecord(
+                epoch=epoch, candidate=i, train=tr_lv, train_bce=tr_bce,
+                validation=va_lv, validation_bce=va_bce, fitness=float(fitness[i])))
+            cand = Incumbent(params[i], va_lv, va_bce, epoch=epoch, candidate=i)
+            _update_bests(state.best_per_loss, cand)
+        val_pairs = [(np.asarray(evals[i][1][0]), f"e{epoch}c{i}")
+                     for i in range(len(params))]
+        state.archive = pareto.update_reference_set(state.archive, val_pairs)
+        state.archive = _prune_archive(state.archive, config.archive_cap)
+        if config.track_archive_hv:
+            state.archive_hv.append(pareto.exact_hypervolume(state.archive))
 
-            # distribution update from the top-mu by fitness (ties: candidate order)
-            order = np.argsort(-fitness, kind="stable")
-            cma = cmaes.evolve(cma, population[order[: cma.mu]])
+        # distribution update from the top-mu by fitness (ties: candidate order)
+        order = np.argsort(-fitness, kind="stable")
+        cma = cmaes.evolve(cma, population[order[: cma.mu]])
 
-            best_i = int(order[0])
-            state.incumbent = Incumbent(params[best_i], evals[best_i][1][0],
-                                        evals[best_i][1][1], epoch=epoch, candidate=best_i)
-            state.cma = cma
-            state.epoch = epoch
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        best_i = int(order[0])
+        state.incumbent = Incumbent(params[best_i], evals[best_i][1][0],
+                                    evals[best_i][1][1], epoch=epoch, candidate=best_i)
+        state.cma = cma
+        state.epoch = epoch
 
     final_test, final_test_bce = evaluate(state.incumbent.params, dataset, "test", config.threshold)
     best_test = {
@@ -283,21 +265,32 @@ def emit_curves(curves: list[CandidateRecord], path) -> None:
 
 
 def read_curves(path) -> list[CandidateRecord]:
-    """Parse a curves CSV back into records (inverse of emit_curves)."""
+    """Parse a curves CSV back into records (inverse of emit_curves). A row
+    with the wrong number of cells, a split other than train or validation,
+    or a cell that is not a number raises ParseError at its line, and so
+    does a file that lacks one of a candidate's two rows."""
     rows: dict[tuple[int, int], dict] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header != CURVES_HEADER:
             raise ParseError(f"curves header must be {','.join(CURVES_HEADER)!r}, "
                              f"got {','.join(header)!r}", path, 1)
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.strip().split(",")
-            key = (int(cells[0]), int(cells[1]))
-            entry = rows.setdefault(key, {"fitness": float(cells[7])})
-            entry[cells[2]] = (LossVector(float(cells[3]), float(cells[4]), float(cells[5])),
-                               float(cells[6]))
+            if len(cells) != len(CURVES_HEADER) or cells[2] not in ("train", "validation"):
+                raise ParseError(f"not a curves row: {line.strip()!r}", path, lineno)
+            try:
+                key = (int(cells[0]), int(cells[1]))
+                l1, l2, l3, bce, fit = map(float, cells[3:])
+            except ValueError as exc:
+                raise ParseError(f"not a curves row: {exc}", path, lineno) from None
+            entry = rows.setdefault(key, {"fitness": fit})
+            entry[cells[2]] = (LossVector(l1, l2, l3), bce)
     out = []
     for (epoch, cand), entry in sorted(rows.items()):
+        if len(entry) != 3:
+            raise ParseError(f"epoch {epoch} candidate {cand} lacks its train or validation "
+                             f"row", path)
         tr, tr_b = entry["train"]
         va, va_b = entry["validation"]
         out.append(CandidateRecord(epoch, cand, tr, tr_b, va, va_b, entry["fitness"]))

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written in the most direct way possible
 (per-sample loops, explicit enumeration, rasterization) and shares no code
-with the implementations under test.
+with the implementations under test. ``tagged`` is the one helper: it gives
+a points array the (3-vector, tag) pair form the package's front functions
+take.
 """
 
 import numpy as np
@@ -119,6 +121,25 @@ def grid_hv(points, resolution=200):
             next_pt += 1
         cells += int(covered.sum())
     return cells / resolution**3
+
+
+def tagged(points):
+    """Rows of a points array as the (3-vector, tag) pairs the package's front
+    functions take, tagged by row index."""
+    return [(p, str(i)) for i, p in enumerate(np.asarray(points, dtype=float).reshape(-1, 3))]
+
+
+def nondominated_filter(pairs):
+    """Batch non-dominated filter of (vector, tag) pairs by the full n x n
+    comparison matrix: the points no other point dominates, a duplicate kept
+    at its first occurrence, survivors in input order. Returns (points, tags)."""
+    pts = np.array([p for p, _ in pairs], dtype=float).reshape(-1, 3)
+    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
+    eq = (pts[:, None, :] == pts[None, :, :]).all(axis=2)
+    dominated = (le & ~eq).any(axis=0)
+    earlier_dup = np.array([eq[:j, j].any() for j in range(len(pts))], dtype=bool)
+    keep = ~dominated & ~earlier_dup
+    return pts[keep], tuple(str(t) for (_, t), k in zip(pairs, keep) if k)
 
 
 def mc_box_union_volume(los, his, n_samples=200_000, seed=0):

@@ -21,7 +21,7 @@ from hvml.losses import geometric_mean
 from hvml.report import ResultsTable, critical_difference, friedman_both_orientations, method_medians
 
 import seed_panel
-from oracles import grid_hv, iex_hv
+from oracles import grid_hv, iex_hv, tagged
 
 
 def _line(n, ok, detail):
@@ -220,7 +220,7 @@ def test_criterion_7_decomposition_identity():
         front = [(p, str(i)) for i, p in enumerate(pts)]
         res = pareto.hv_decomposition(front)
         iex = iex_hv(pts)
-        sweep = pareto.exact_hypervolume(pts)
+        sweep = pareto.exact_hypervolume(tagged(pts))
         grid = grid_hv(pts, 200)
         total = sum(res.contributions.values())
         for oracle in (res.total, iex, sweep, grid):

@@ -9,6 +9,7 @@ from hvml import benchmark_results_path, cli, data, pareto, synth, trainer
 from hvml.cli import main
 
 import seed_panel
+from oracles import tagged
 
 
 @pytest.fixture()
@@ -54,6 +55,7 @@ class TestFlags:
         ("eval", ["--workers", "2"]), ("eval", ["--config", "c.json"]),
         ("train", ["--literal-cma"]), ("train", ["--sigma-rule", "fifth"]),
         ("sweep", ["--literal-cma"]), ("sweep", ["--embedding", "3"]),
+        ("train", ["--workers", "2"]), ("sweep", ["--workers", "2"]),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_flag_the_command_does_not_read_is_refused(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -107,7 +109,7 @@ class TestHv:
         front.write_text("".join(",".join(repr(float(v)) for v in p) + "\n" for p in pts))
         out = tmp_path / "o"
         assert run_cli(["hv", front, "--ref", "0.9,1.1,0.8", "--out", out]) == 0
-        expected = pareto.exact_hypervolume(pts, np.array([0.9, 1.1, 0.8]))
+        expected = pareto.exact_hypervolume(tagged(pts), np.array([0.9, 1.1, 0.8]))
         assert capsys.readouterr().out.splitlines()[0] == f"total_hypervolume {expected:.6f}"
         assert json.loads((out / "hv.json").read_text())["total"] == expected
 
@@ -220,6 +222,38 @@ class TestTrain:
         assert "typo.json" in err["message"] and "epoch" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command,value", [
+        ("train", {"epochs": "5"}), ("train", {"embedding": 2.5}), ("train", {"epochs": True}),
+        ("train", {"mu": 3.0}), ("train", {"seed": None}), ("train", {"manifest": 3}),
+        ("sweep", {"c_list": [2, "3"]}), ("sweep", {"c_list": "2,3"}),
+    ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+    def test_config_value_of_wrong_type_exits_2(self, toy_manifest, tmp_path, capsys,
+                                                command, value):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), **value}))
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o", "--seed", 1]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "typed.json" in err["message"] and next(iter(value)) in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_config_int_for_float_and_null_for_optional(self, toy_manifest, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), "sigma": 1, "c_cov": None,
+                                   "epochs": 1, "embedding": 3, "lambda_pop": 8, "mu": 3}))
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o", "--seed", 1]) == 0
+        resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+        assert resolved["sigma"] == 1 and resolved["c_cov"] is None
+
+    def test_config_file_recording_workers_exits_2(self, toy_manifest, tmp_path, capsys):
+        # resolved_config.json files written while --workers existed record it
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), "workers": 1}))
+        assert run_cli(["train", "--config", cfg, "--out", tmp_path / "o", "--seed", 1]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "old.json" in err["message"] and "workers" in err["message"]
+
     def test_resolved_config_reproduces_run(self, toy_manifest, tmp_path, capsys):
         # no --seed: the drawn seed is recorded and the file alone repeats the run
         cfg = tmp_path / "cfg.json"
@@ -271,16 +305,6 @@ class TestTrain:
         _, saved = trainer.load_checkpoint(tmp_path / "resumed")
         assert (saved.seed, saved.epochs) == (5, 4)
 
-    def test_resume_may_change_workers(self, toy_manifest, tmp_path, capsys):
-        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]
-        assert run_cli(args + ["--epochs", 1, "--out", tmp_path / "one"]) == 0
-        assert run_cli(args + ["--epochs", 3, "--out", tmp_path / "three"]) == 0
-        assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "one",
-                        "--epochs", 3, "--workers", 2, "--out", tmp_path / "resumed"]) == 0
-        assert ((tmp_path / "resumed" / "curves.csv").read_bytes()
-                == (tmp_path / "three" / "curves.csv").read_bytes())
-
     @pytest.mark.parametrize("change,key", [
         (["--seed", 6], "seed"), (["--sigma", 0.5], "sigma"), (["--embedding", 4], "embedding"),
         (["--config", "cfg.json"], "mc_samples"),
@@ -331,6 +355,43 @@ class TestTrain:
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError" and "checkpoint.json" in err["message"]
+
+    def test_checkpoint_recording_workers_exits_2(self, toy_manifest, tmp_path, capsys):
+        # checkpoints written while --workers existed record it
+        out = tmp_path / "run"
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
+                "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
+        assert run_cli(args + ["--out", out]) == 0
+        meta = json.loads((out / "checkpoint.json").read_text())
+        meta["config"]["workers"] = 1
+        (out / "checkpoint.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "checkpoint.json" in err["message"] and "workers" in err["message"]
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda cells: cells[:3] + ["x.5"] + cells[4:], "curves.csv:6:"),
+        (lambda cells: cells[:5], "curves.csv:6:"),
+        (lambda cells: cells[:2] + ["test"] + cells[3:], "curves.csv:6:"),
+        (lambda cells: None, "curves.csv: epoch 1 candidate 2 lacks"),
+    ], ids=["non-number", "short-line", "unknown-split", "missing-row"])
+    def test_malformed_curves_row_exits_2(self, toy_manifest, tmp_path, capsys, edit, where):
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500, "--epochs", 2]
+        out = tmp_path / "two"
+        assert run_cli(args + ["--out", out]) == 0
+        curves = out / "curves.csv"
+        lines = curves.read_text().splitlines()
+        cells = edit(lines[5].split(","))
+        lines[5:6] = [] if cells is None else [",".join(cells)]
+        curves.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out, "--epochs", 3,
+                        "--out", tmp_path / "resumed"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and where in err["message"]
 
     def test_dense_format_checkpoint_exits_2(self, toy_manifest, tmp_path, capsys):
         # a state.npz from before the low-rank covariance holds cov, not cov_steps

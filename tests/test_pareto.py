@@ -3,17 +3,16 @@ import pytest
 
 from hvml.errors import DimensionError
 from hvml.pareto import (Front, dominates, exact_contribution, exact_hypervolume,
-                         hv_decomposition, mc_contribution, nondominated_filter,
-                         update_reference_set)
+                         hv_decomposition, mc_contribution, update_reference_set)
 
-from oracles import grid_hv, iex_hv
+from oracles import grid_hv, iex_hv, nondominated_filter, tagged
+
+EMPTY = Front(np.empty((0, 3)), ())
 
 
-def random_front(rng, max_points=8, lattice=None):
-    pts = rng.random((rng.integers(1, max_points + 1), 3))
-    if lattice:
-        pts = np.rint(pts * lattice) / lattice
-    return nondominated_filter([(p, f"p{i}") for i, p in enumerate(pts)])
+def merged(pairs):
+    """The package's non-dominated merge of pairs into an empty front."""
+    return update_reference_set(EMPTY, pairs)
 
 
 class TestDominates:
@@ -37,28 +36,30 @@ class TestDominates:
 
 
 class TestNondominatedFilter:
+    """Non-dominated filtering by ``update_reference_set`` from an empty front."""
+
     def test_single_point(self):
-        front = nondominated_filter([((0.3, 0.3, 0.3), "only")])
+        front = merged([((0.3, 0.3, 0.3), "only")])
         assert len(front) == 1 and front.tags == ("only",)
 
     def test_chain_keeps_minimum(self):
         pts = [((0.1, 0.1, 0.1), "a"), ((0.2, 0.2, 0.2), "b"), ((0.3, 0.3, 0.3), "c")]
-        assert nondominated_filter(pts).tags == ("a",)
+        assert merged(pts).tags == ("a",)
 
     def test_duplicates_keep_first(self):
         pts = [((0.5, 0.2, 0.6), "first"), ((0.5, 0.2, 0.6), "second")]
-        assert nondominated_filter(pts).tags == ("first",)
+        assert merged(pts).tags == ("first",)
 
     def test_published_emotions_front(self, benchmark_by_dataset):
         rows = benchmark_by_dataset["emotions"]
-        front = nondominated_filter([(r["losses"], r["method"]) for r in rows])
+        front = merged([(r["losses"], r["method"]) for r in rows])
         assert set(front.tags) == {"DELA", "CLML"}
 
     def test_survivors_exactly_the_nondominated(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             pts = rng.random((10, 3))
-            front = nondominated_filter([(p, str(i)) for i, p in enumerate(pts)])
+            front = merged([(p, str(i)) for i, p in enumerate(pts)])
             for i, p in enumerate(pts):
                 expect = not any(dominates(q, p) for q in pts) and not any(
                     (pts[j] == p).all() for j in range(i))
@@ -80,6 +81,13 @@ class TestExactHypervolume:
     def test_empty_front(self):
         assert exact_hypervolume([]) == 0.0
 
+    def test_arrays_and_bare_vectors_are_refused(self):
+        pts = np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.5]])
+        for bad in (pts, pts[:, :2], list(pts), [tuple(p) for p in pts], [(0.2, 0.8)],
+                    [((0.2, 0.8), "a")], [pts[0]]):
+            with pytest.raises(DimensionError):
+                exact_hypervolume(bad)
+
     def test_point_at_reference_contributes_nothing(self):
         assert exact_hypervolume([((1.0, 1.0, 1.0), "a")]) == 0.0
         front = [((0.5, 0.5, 0.5), "a"), ((1.0, 0.0, 0.0), "b")]
@@ -90,21 +98,21 @@ class TestExactHypervolume:
         for _ in range(1000):
             pts = rng.random((rng.integers(1, 13), 3))
             ref = np.ones(3)
-            assert exact_hypervolume(pts, ref) == pytest.approx(iex_hv(pts, ref), abs=1e-12)
+            assert exact_hypervolume(tagged(pts), ref) == pytest.approx(iex_hv(pts, ref), abs=1e-12)
 
     def test_iex_and_sweep_agree_with_offset_reference(self):
         rng = np.random.default_rng(3)
         ref = np.array([0.9, 1.1, 0.8])
         for _ in range(200):
             pts = rng.random((rng.integers(1, 10), 3))
-            assert exact_hypervolume(pts, ref) == pytest.approx(iex_hv(pts, ref), abs=1e-12)
+            assert exact_hypervolume(tagged(pts), ref) == pytest.approx(iex_hv(pts, ref), abs=1e-12)
 
     def test_monotone_in_points(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             pts = rng.random((6, 3))
-            base = exact_hypervolume(pts[:5])
-            grown = exact_hypervolume(pts)
+            base = exact_hypervolume(tagged(pts[:5]))
+            grown = exact_hypervolume(tagged(pts))
             assert grown >= base - 1e-12
 
     def test_dominated_point_changes_nothing(self):
@@ -113,25 +121,26 @@ class TestExactHypervolume:
             pts = rng.random((5, 3))
             dominated = np.clip(pts[0] + rng.random(3) * (1 - pts[0]) * 0.9, 0, 0.999)
             with_dup = np.vstack([pts, dominated])
-            assert exact_hypervolume(with_dup) == pytest.approx(exact_hypervolume(pts), abs=1e-12)
+            assert exact_hypervolume(tagged(with_dup)) == pytest.approx(
+                exact_hypervolume(tagged(pts)), abs=1e-12)
 
     def test_iex_and_sweep_agree_near_dispatch_limit(self):
         # the largest fronts the exponential oracle can check in seconds
         rng = np.random.default_rng(13)
         for n in (13, 16, 18, 20):
             pts = rng.random((n, 3))
-            assert exact_hypervolume(pts) == pytest.approx(iex_hv(pts), abs=1e-12)
+            assert exact_hypervolume(tagged(pts)) == pytest.approx(iex_hv(pts), abs=1e-12)
 
     def test_sweep_beyond_iex_limit(self):
         rng = np.random.default_rng(6)
         pts = rng.integers(0, 200, (40, 3)) / 200.0
-        assert exact_hypervolume(pts) == pytest.approx(grid_hv(pts, 200), rel=1e-12, abs=1e-15)
+        assert exact_hypervolume(tagged(pts)) == pytest.approx(grid_hv(pts, 200), rel=1e-12, abs=1e-15)
 
     def test_reference_must_be_one_3_vector(self):
         pts = np.array([[0.2, 0.2, 0.2]])
         for bad in ([1.0, 1.0], [[1.0, 1.0, 1.0]], [[0.6, 1.0, 1.0], [1.0, 0.6, 1.0]]):
             with pytest.raises(DimensionError):
-                exact_hypervolume(pts, bad)
+                exact_hypervolume(tagged(pts), bad)
             with pytest.raises(DimensionError):
                 exact_contribution([(pts[0], "a")], "a", bad)
             with pytest.raises(DimensionError):
@@ -167,7 +176,8 @@ class TestExactContribution:
             pts = rng.random((6, 3))
             front = [(p, str(i)) for i, p in enumerate(pts)]
             i = int(rng.integers(6))
-            expected = exact_hypervolume(pts) - exact_hypervolume(np.delete(pts, i, axis=0))
+            expected = (exact_hypervolume(tagged(pts))
+                        - exact_hypervolume(tagged(np.delete(pts, i, axis=0))))
             assert exact_contribution(front, str(i)) == pytest.approx(max(0.0, expected), abs=1e-12)
 
 
@@ -178,7 +188,7 @@ class TestDecomposition:
             pts = rng.random((rng.integers(1, 9), 3))
             front = [(p, str(i)) for i, p in enumerate(pts)]
             res = hv_decomposition(front)
-            assert res.total == pytest.approx(exact_hypervolume(pts), rel=1e-12, abs=1e-15)
+            assert res.total == pytest.approx(exact_hypervolume(tagged(pts)), rel=1e-12, abs=1e-15)
             assert sum(res.contributions.values()) == pytest.approx(res.total, rel=1e-9, abs=1e-15)
             assert all(c >= 0 for c in res.contributions.values())
 
@@ -248,23 +258,49 @@ class TestUpdateReferenceSet:
         assert out.tags == ("p",)
 
     def test_union_with_empty_is_identity(self):
-        r = nondominated_filter([((0.2, 0.8, 0.5), "a"), ((0.8, 0.2, 0.5), "b")])
+        r = merged([((0.2, 0.8, 0.5), "a"), ((0.8, 0.2, 0.5), "b")])
         out = update_reference_set(r, [])
         assert out.tags == r.tags and np.array_equal(out.points, r.points)
 
     def test_incomparable_points_coexist(self):
-        r = nondominated_filter([((0.2, 0.8, 0.5), "a")])
+        r = merged([((0.2, 0.8, 0.5), "a")])
         out = update_reference_set(r, [((0.8, 0.2, 0.5), "b")])
         assert set(out.tags) == {"a", "b"}
+
+    @staticmethod
+    def assert_agrees(base, new):
+        """Merging ``new`` into the merged ``base`` keeps what the batch oracle
+        keeps of base + new: the same tags in the same order, the same points."""
+        incremental = update_reference_set(merged(base), new)
+        points, tags = nondominated_filter(base + new)
+        assert incremental.tags == tags
+        assert np.array_equal(incremental.points, points)
 
     def test_agrees_with_batch_filter(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             base = [(p, f"a{i}") for i, p in enumerate(rng.random((5, 3)))]
             new = [(p, f"b{i}") for i, p in enumerate(rng.random((5, 3)))]
-            incremental = update_reference_set(nondominated_filter(base), new)
-            batch = nondominated_filter(list(nondominated_filter(base)) + new)
-            assert set(incremental.tags) == set(batch.tags)
+            self.assert_agrees(base, new)
+
+    def test_agrees_with_batch_filter_on_lattice_ties_and_duplicates(self):
+        # a 0.1 lattice makes equal coordinates and repeated points common
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            base = [(p, f"a{i}") for i, p in enumerate(rng.integers(0, 11, (8, 3)) / 10)]
+            new = [(p, f"b{i}") for i, p in enumerate(rng.integers(0, 11, (8, 3)) / 10)]
+            new += [(base[0][0].copy(), "dup_a0"), (new[0][0].copy(), "dup_b0")]
+            self.assert_agrees(base, new)
+
+    def test_agrees_with_batch_filter_at_archive_cap_size(self):
+        # points on the plane x + y + z = 1 never dominate one another, so the
+        # merged base holds all 512 of them; the new points dominate some
+        rng = np.random.default_rng(13)
+        base_pts = rng.dirichlet(np.ones(3), 512)
+        new_pts = np.vstack([base_pts[:13] * 0.99, rng.dirichlet(np.ones(3), 13)])
+        base = [(p, f"a{i}") for i, p in enumerate(base_pts)]
+        assert len(merged(base)) == 512
+        self.assert_agrees(base, [(p, f"b{i}") for i, p in enumerate(new_pts)])
 
 
 class TestMultiReference:
@@ -272,5 +308,5 @@ class TestMultiReference:
 
     def test_point_outside_all_references_is_zero(self):
         ref = np.array([0.5, 0.5, 0.5])
-        assert exact_hypervolume(np.array([[0.6, 0.1, 0.1]]), ref) == 0.0
+        assert exact_hypervolume(tagged([[0.6, 0.1, 0.1]]), ref) == 0.0
         assert exact_contribution([((0.6, 0.1, 0.1), "a")], "a", ref) == 0.0
