@@ -192,6 +192,7 @@ def cmd_train(args) -> int:
 def cmd_hv(args) -> int:
     path = _expand_path(args.front)
     rows = []
+    tag_lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
             if not cells or all(not c.strip() for c in cells):
@@ -205,16 +206,19 @@ def cmd_hv(args) -> int:
             except ValueError:
                 raise ParseError(f"non-numeric loss value in row {cells!r}", path, lineno) from None
             tag = cells[0] if len(cells) > 3 else f"row{lineno}"
+            if tag in tag_lines:
+                raise ParseError(f"tag {tag!r} already names the row on line "
+                                 f"{tag_lines[tag]}", path, lineno)
+            tag_lines[tag] = lineno
             rows.append((np.array(vec), tag))
     ref = _parse_ref(args.ref) if args.ref else pareto.UNIT_REF
     out = _out_dir(args, "hv")
     _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
                                 "mc_samples": args.mc_samples, "seed": args.seed or 0})
-    total = pareto.exact_hypervolume(rows, ref)
+    total, contribs = pareto.exact_contributions(rows, ref)
     lines = [f"total_hypervolume {total:.6f}"]
     report_rows = []
-    for vec, tag in rows:
-        exact = pareto.exact_contribution(rows, tag, ref)
+    for (vec, tag), exact in zip(rows, contribs.tolist()):
         entry = {"tag": tag, "losses": list(vec), "contribution": exact}
         if args.mc_samples:
             entry["mc_contribution"] = pareto.mc_contribution(

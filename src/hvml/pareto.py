@@ -2,14 +2,20 @@
 
 Volumes are measured in a minimized 3-D loss space: the region dominated by
 a set of points and bounded above by one reference vector (the unit vector
-unless a caller passes another). The exact volume comes from a single
-z-axis dimension sweep; a seeded Monte Carlo estimator of the per-point
-contribution sits beside it.
+unless a caller passes another). Exact volumes come from one z-axis
+dimension sweep: each slab between consecutive z levels holds the 2-D
+staircase of the points at or below it. ``exact_hypervolume`` sums the
+staircase areas times the slab heights. ``exact_contributions`` makes the
+same pass and also credits each staircase step with the area only it covers
+in the slab times the slab height, which gives every point's exclusive
+volume at once. A seeded Monte Carlo estimator of one point's exclusive
+volume sits beside them.
 
 Contribution comes in two flavours that must not be confused:
 
-* ``exact_contribution``: the volume lost if one point is removed from the
-  front (its exclusive region). Dominated points contribute exactly 0.
+* ``exact_contribution(s)``: the volume only that point dominates, lost if
+  it alone is removed (its exclusive region). Weakly dominated points,
+  duplicates included, contribute exactly 0.
 * ``hv_decomposition``: a disjoint partition of the whole dominated region,
   attributing to each point the volume it adds when inserted in front
   order. These partition contributions always sum to the total volume;
@@ -108,30 +114,71 @@ def _reference(ref) -> np.ndarray:
     return r
 
 
-def _staircase_area(xs: np.ndarray, ys: np.ndarray, rx: float, ry: float) -> float:
-    """Area of the union of rectangles [x_i, rx] x [y_i, ry]."""
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    ys = np.minimum.accumulate(ys[order])
-    x_next = np.append(xs[1:], rx)
-    return float(np.sum((x_next - xs) * (ry - ys)))
+def _slabs(pts: np.ndarray, ref: np.ndarray):
+    """The z-axis sweep over the points strictly below the reference: one
+    slab per distinct z level, yielding the row indices, x and y of the
+    points at or below that level in (x, y) lexicographic order, and the
+    slab's height up to the next level (or the reference)."""
+    below = np.flatnonzero((pts < ref).all(axis=1))
+    order = below[np.lexsort((pts[below, 1], pts[below, 0]))]
+    xs, ys, zs = pts[order].T
+    levels = np.unique(zs)
+    for z0, z1 in zip(levels, np.append(levels[1:], ref[2])):
+        active = zs <= z0
+        yield order[active], xs[active], ys[active], z1 - z0
+
+
+def _strips(xs: np.ndarray, ys: np.ndarray, x_next: np.ndarray, top) -> np.ndarray:
+    """Areas of the strips [x_i, x_next_i) x [min(y_0..y_i), top) of points
+    sorted by x. When x_next_i is x_{i+1} and the last one a right edge, the
+    strips tile the union of the boxes [x_i, right edge) x [y_i, top)."""
+    return (x_next - xs) * (top - np.minimum.accumulate(ys))
+
+
+def _slab_area(xs: np.ndarray, ys: np.ndarray, ref: np.ndarray) -> float:
+    """Area of the union of the rectangles [x_i, rx) x [y_i, ry)."""
+    return float(np.sum(_strips(xs, ys, np.append(xs[1:], ref[0]), ref[1])))
 
 
 def _hv_sweep(pts: np.ndarray, ref: np.ndarray) -> float:
-    """Volume of the union of boxes [p, ref]: one slab per distinct z level,
-    each the 2-D staircase area of the points at or below it."""
-    pts = pts[(pts < ref).all(axis=1)]
-    if pts.shape[0] == 0:
-        return 0.0
-    order = np.argsort(pts[:, 2], kind="stable")
-    pts = pts[order]
-    z_levels = np.unique(pts[:, 2])
-    z_next = np.append(z_levels[1:], ref[2])
+    """Volume of the union of boxes [p, ref]: the sum over slabs of the
+    staircase area of the points at or below the slab times its height."""
     vol = 0.0
-    for z0, z1 in zip(z_levels, z_next):
-        active = pts[pts[:, 2] <= z0]
-        vol += _staircase_area(active[:, 0], active[:, 1], ref[0], ref[1]) * (z1 - z0)
+    for _, xs, ys, height in _slabs(pts, ref):
+        vol += _slab_area(xs, ys, ref) * height
     return vol
+
+
+def _exclusive_areas(xs: np.ndarray, ys: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per point, in the (x, y) lexicographic order of the input, the area of
+    its rectangle [x, rx) x [y, ry) that no other point's rectangle covers.
+
+    Only a step of the staircase (a point whose y is below every earlier y)
+    has such an area: its rectangle among the steps alone, [x_k, x_{k+1}) x
+    [y_k, y_{k-1}), less the union of the boxes of the other points whose
+    last step at or before them is k, clipped to that rectangle. A point
+    whose last step is j != k lies in j's box, which misses k's rectangle.
+    The clipped boxes of one step form a second staircase, and each area is
+    clamped at >= 0.
+    """
+    step = ys < np.append(np.inf, np.minimum.accumulate(ys)[:-1])
+    sx, sy = xs[step], ys[step]
+    right = np.append(sx[1:], ref[0])
+    top = np.append(ref[1], sy[:-1])
+    area = (right - sx) * (top - sy)
+    rest = ~step
+    if rest.any():
+        owner = np.cumsum(step)[rest] - 1
+        qx, q_top = xs[rest], top[owner]
+        last = np.append(owner[1:] != owner[:-1], True)
+        q_next = np.where(last, right[owner], np.append(qx[1:], 0.0))
+        # a later step's clipped y lie at or below the y of every earlier
+        # step, so one running minimum over all of them restarts at each step
+        cut = _strips(qx, np.minimum(ys[rest], q_top), q_next, q_top)
+        area -= np.bincount(owner, weights=cut, minlength=sx.size)
+    out = np.zeros(xs.size)
+    out[step] = np.maximum(area, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +192,30 @@ def exact_hypervolume(front, ref=UNIT_REF) -> float:
     return _hv_sweep(pts, _reference(ref))
 
 
+def exact_contributions(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
+    """Total volume and the exclusive volume of every row, in front order,
+    from one z-axis sweep.
+
+    A row's exclusive volume is the part of its box [p, ref] that no other
+    row's box covers, the volume lost if it alone were removed. In each slab
+    the row's exclusive area (see ``_exclusive_areas``) times the slab height
+    adds to it. Rows that another row weakly dominates (duplicates included)
+    and rows not strictly below the reference get exactly 0.0. The total is
+    the one ``exact_hypervolume`` gives, bit for bit.
+    """
+    pts, _ = _points_tags(front)
+    ref = _reference(ref)
+    total = 0.0
+    contribs = np.zeros(pts.shape[0])
+    for rows, xs, ys, height in _slabs(pts, ref):
+        total += _slab_area(xs, ys, ref) * height
+        contribs[rows] += _exclusive_areas(xs, ys, ref) * height
+    covered = (pts[None, :, :] <= pts[:, None, :]).all(axis=2)   # [i, j]: row j <= row i
+    np.fill_diagonal(covered, False)
+    contribs[covered.any(axis=1) | ~(pts < ref).all(axis=1)] = 0.0
+    return total, contribs
+
+
 def _tag_index(tags: list[str], tag) -> int:
     try:
         return tags.index(str(tag))
@@ -153,22 +224,13 @@ def _tag_index(tags: list[str], tag) -> int:
 
 
 def exact_contribution(front, tag, ref=UNIT_REF) -> float:
-    """Exclusive volume of one point below the reference vector: total volume
-    minus the volume without it.
-
-    Exactly 0.0 (no arithmetic involved) when another point weakly dominates
-    the tagged point or when the point is not strictly below the reference.
-    """
-    pts, tags = _points_tags(front)
-    ref = _reference(ref)
+    """Exclusive volume of the (first) row with this tag: the part of its box
+    below the reference vector that no other row's box covers, taken from
+    ``exact_contributions``. Exactly 0.0 when another row weakly dominates it
+    or when it is not strictly below the reference."""
+    _, tags = _points_tags(front)
     i = _tag_index(tags, tag)
-    p = pts[i]
-    others = np.delete(pts, i, axis=0)
-    if not (p < ref).all():
-        return 0.0
-    if others.size and (others <= p).all(axis=1).any():
-        return 0.0
-    return max(0.0, _hv_sweep(pts, ref) - _hv_sweep(others, ref))
+    return float(exact_contributions(front, ref)[1][i])
 
 
 @dataclass

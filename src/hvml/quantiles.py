@@ -112,6 +112,8 @@ def chi2_quantile(p: float, df: int) -> float:
     lo = 0.0
     for _ in range(200):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break   # adjacent floats: further steps leave (lo + hi) / 2 at mid
         if _gammainc_lower(a, mid / 2.0) < p:
             lo = mid
         else:

@@ -121,7 +121,8 @@ def contribution_table(table: ResultsTable, ref=pareto.UNIT_REF):
     out: dict[tuple[str, str], dict[str, float]] = {}
     for d in table.datasets:
         front = [(table.cells[(d, m)], m) for m in table.methods if (d, m) in table.cells]
-        contribs = {m: pareto.exact_contribution(front, m, ref) for _, m in front}
+        _, values = pareto.exact_contributions(front, ref)
+        contribs = dict(zip((m for _, m in front), values.tolist()))
         total = sum(contribs.values())
         for m, c in contribs.items():
             out[(d, m)] = {

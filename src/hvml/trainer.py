@@ -12,8 +12,9 @@ into the archives (full non-dominated front plus per-loss bests) and never
 touch fitness; the test split is only evaluated once at the end.
 
 Fitness uses the Monte Carlo estimator with one seeded stream per (epoch,
-candidate) pair, switching to the exact contribution when the population is
-small enough for exactness to be cheap (or always, with ``exact_fitness``).
+candidate) pair, switching to the exact contributions, all from one sweep,
+when the population has at most ``EXACT_FITNESS_MAX_POINTS`` candidates (or
+always, with ``exact_fitness``).
 Everything derives from one root seed, so repeats are bit-identical and a
 resumed run equals an uninterrupted one.
 """
@@ -134,8 +135,7 @@ def _split_losses(scores, truth: losses.Truth, threshold: float) -> tuple[LossVe
 def _prune_archive(front: pareto.Front, cap: int) -> pareto.Front:
     """Drop the smallest exact contribution first until the front fits."""
     while len(front) > cap:
-        contribs = [pareto.exact_contribution(front, t) for t in front.tags]
-        drop = int(np.argmin(contribs))
+        drop = int(np.argmin(pareto.exact_contributions(front)[1]))
         keep = [i for i in range(len(front)) if i != drop]
         front = pareto.Front(front.points[keep], tuple(front.tags[i] for i in keep))
     return front
@@ -178,7 +178,7 @@ def _fitness(train_vecs: np.ndarray, config: TrainConfig, epoch: int) -> np.ndar
     lam = train_vecs.shape[0]
     front = pareto.Front(train_vecs, tuple(str(i) for i in range(lam)))
     if config.exact_fitness or lam <= EXACT_FITNESS_MAX_POINTS:
-        return np.array([pareto.exact_contribution(front, str(i)) for i in range(lam)])
+        return pareto.exact_contributions(front)[1]
     return np.array([
         pareto.mc_contribution(front, str(i), g=config.mc_samples,
                                seed=seeds.seed_sequence(config.seed, seeds.STREAM_MC, epoch, i))

@@ -175,6 +175,37 @@ def iex_hv(points, ref=(1.0, 1.0, 1.0)):
     return subsets(0, (-np.inf, -np.inf, -np.inf), 1.0)
 
 
+def slab_hv(points, ref=(1.0, 1.0, 1.0)):
+    """Hypervolume by a z-axis slab loop: one slab per distinct z level of the
+    points strictly below the reference, each the 2-D staircase area of the
+    points at or below it, found by a fresh sort per slab."""
+    ref = np.asarray(ref, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = pts[(pts < ref).all(axis=1)]
+    levels = sorted(set(pts[:, 2].tolist()))
+    vol = 0.0
+    for z0, z1 in zip(levels, levels[1:] + [float(ref[2])]):
+        layer = sorted((x, y) for x, y, z in pts.tolist() if z <= z0)
+        area, low = 0.0, float(ref[1])
+        for k, (x, y) in enumerate(layer):
+            low = min(low, y)
+            x_next = layer[k + 1][0] if k + 1 < len(layer) else float(ref[0])
+            area += (x_next - x) * (ref[1] - low)
+        vol += area * (z1 - z0)
+    return vol
+
+
+def leave_one_out_contribution(points, i, ref=(1.0, 1.0, 1.0), hv=slab_hv):
+    """Exclusive volume of row i as the total volume minus the volume without
+    it; 0.0 without arithmetic when another row weakly dominates row i or
+    row i is not strictly below the reference."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    others = np.delete(pts, i, axis=0)
+    if not (pts[i] < np.asarray(ref, dtype=float)).all() or (others <= pts[i]).all(axis=1).any():
+        return 0.0
+    return max(0.0, hv(pts, ref) - hv(others, ref))
+
+
 def dense_covariance(state):
     """The covariance of a CmaState as a dense matrix, rebuilt by the update
     recurrence C' = (1 - c) C + c v v^T from C_0 = I over its update vectors,

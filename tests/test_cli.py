@@ -130,6 +130,26 @@ class TestHv:
         assert (err["error"], err["exit_code"]) == ("ParseError", 2)
         assert "--ref" in err["message"] and "a,b,c" in err["message"]
 
+    def test_rows_equal_exact_contribution_per_tag(self, tmp_path):
+        pts = np.random.default_rng(5).integers(0, 6, (12, 3)) / 5.0
+        pairs = [(p, f"t{i}") for i, p in enumerate(pts)]
+        front = tmp_path / "front.csv"
+        front.write_text("".join(f"{t},{','.join(map(repr, p.tolist()))}\n" for p, t in pairs))
+        out = tmp_path / "o"
+        assert run_cli(["hv", front, "--ref", "0.9,1,0.9", "--out", out]) == 0
+        rows = json.loads((out / "hv.json").read_text())["rows"]
+        assert [r["tag"] for r in rows] == [t for _, t in pairs]
+        for r in rows:
+            assert r["contribution"] == pareto.exact_contribution(pairs, r["tag"], [0.9, 1, 0.9])
+
+    def test_repeated_tag_exits_2_naming_the_line(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        front.write_text("tag,l1,l2,l3\na,0.1,0.8,0.5\nb,0.5,0.5,0.9\na,0.8,0.2,0.5\n")
+        assert run_cli(["hv", front, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (err["error"], err["exit_code"]) == ("ParseError", 2)
+        assert f"{front}:4:" in err["message"] and "line 2" in err["message"]
+
     def test_malformed_row_names_line(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
         front.write_text("0.5,0.5,0.5\n0.1,oops,0.3\n")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from hvml.errors import DimensionError
-from hvml.pareto import (Front, dominates, exact_contribution, exact_hypervolume,
-                         hv_decomposition, mc_contribution, update_reference_set)
+from hvml.pareto import (Front, dominates, exact_contribution, exact_contributions,
+                         exact_hypervolume, hv_decomposition, mc_contribution,
+                         update_reference_set)
 
-from oracles import grid_hv, iex_hv, nondominated_filter, tagged
+from oracles import (grid_hv, iex_hv, leave_one_out_contribution, nondominated_filter,
+                     slab_hv, tagged)
 
 EMPTY = Front(np.empty((0, 3)), ())
 
@@ -179,6 +181,72 @@ class TestExactContribution:
             expected = (exact_hypervolume(tagged(pts))
                         - exact_hypervolume(tagged(np.delete(pts, i, axis=0))))
             assert exact_contribution(front, str(i)) == pytest.approx(max(0.0, expected), abs=1e-12)
+
+
+class TestExactContributions:
+    """The one-pass exclusive volumes against the leave-one-out difference of
+    three independent volume oracles."""
+
+    @staticmethod
+    def assert_matches(pts, ref=np.ones(3), oracles=(slab_hv, iex_hv)):
+        total, got = exact_contributions(tagged(pts), ref)
+        assert total == exact_hypervolume(tagged(pts), ref)
+        assert got.shape == (len(pts),)
+        for hv in oracles:
+            want = [leave_one_out_contribution(pts, i, ref, hv) for i in range(len(pts))]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        covered = [bool((np.delete(pts, i, axis=0) <= pts[i]).all(axis=1).any())
+                   or not (pts[i] < ref).all() for i in range(len(pts))]
+        for c, zero in zip(got, covered):
+            assert c >= 0.0
+            if zero:
+                assert c == 0.0
+        return got
+
+    def test_random_fronts(self):
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            self.assert_matches(rng.random((rng.integers(1, 11), 3)))
+
+    def test_lattice_fronts_with_ties_duplicates_and_points_on_the_reference(self):
+        # a 0.2 lattice makes equal coordinates, repeated and dominated rows
+        # and rows on the reference (coordinate 1.0) common
+        rng = np.random.default_rng(22)
+        grid = lambda p, ref: grid_hv(p, 5)
+        for _ in range(300):
+            pts = rng.integers(0, 6, (rng.integers(1, 13), 3)) / 5.0
+            self.assert_matches(pts, oracles=(slab_hv, iex_hv, grid))
+
+    def test_non_unit_reference(self):
+        rng = np.random.default_rng(23)
+        ref = np.array([0.8, 1.1, 0.6])
+        for _ in range(200):
+            pts = rng.integers(0, 7, (rng.integers(1, 11), 3)) / 5.0 * rng.choice([1.0, 0.5])
+            self.assert_matches(pts, ref)
+            self.assert_matches(rng.random((rng.integers(1, 11), 3)), ref)
+
+    def test_larger_fronts_against_the_slab_oracle(self):
+        rng = np.random.default_rng(24)
+        plane = rng.dirichlet(np.ones(3), 40)
+        pts = np.vstack([plane, plane[:3], plane[3:6] + 0.01])
+        self.assert_matches(pts, oracles=(slab_hv,))
+
+    def test_empty_front(self):
+        total, got = exact_contributions([])
+        assert total == 0.0 and got.shape == (0,)
+
+    def test_single_points(self):
+        total, got = exact_contributions([((0.25, 0.5, 0.5), "a")])
+        assert total == got[0] == 0.75 * 0.5 * 0.5
+        for p in ((1.0, 0.5, 0.5), (0.5, 1.2, 0.5)):
+            total, got = exact_contributions([(p, "a")])
+            assert total == 0.0 and got[0] == 0.0
+
+    def test_exact_contribution_indexes_the_pass(self):
+        rng = np.random.default_rng(25)
+        pts = rng.random((9, 3))
+        _, got = exact_contributions(tagged(pts))
+        assert [exact_contribution(tagged(pts), str(i)) for i in range(9)] == got.tolist()
 
 
 class TestDecomposition:

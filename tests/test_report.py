@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, report
+from hvml import benchmark_results_path, quantiles, report
 from hvml.errors import GridError, ParseError
 from hvml.quantiles import chi2_quantile, normal_quantile
 from hvml.report import (ResultsTable, calibration_export, contribution_table,
@@ -179,6 +179,25 @@ class TestQuantiles:
         for df in (1, 2, 6, 8, 30):
             for p in (0.05, 0.5, 0.95, 0.99):
                 assert chi2_quantile(p, df) == pytest.approx(st.chi2.ppf(p, df), rel=1e-9)
+
+    def test_chi2_quantile_equals_the_full_bisection(self):
+        # stopping once the midpoint repeats an end must not change a bit
+        def full_bisection(p, df):
+            a, hi = df / 2.0, float(df)
+            while quantiles._gammainc_lower(a, hi / 2.0) < p:
+                hi *= 2.0
+            lo = 0.0
+            for _ in range(200):
+                mid = (lo + hi) / 2.0
+                if quantiles._gammainc_lower(a, mid / 2.0) < p:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2.0
+
+        for df in range(1, 41):
+            for p in (1e-6, 0.01, 0.05, 0.5, 0.95, 0.99, 1 - 1e-9):
+                assert chi2_quantile(p, df) == full_bisection(p, df)
 
     def test_chi2_tabled_values(self):
         assert chi2_quantile(0.95, 6) == pytest.approx(12.5916, abs=1e-3)

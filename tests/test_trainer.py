@@ -6,6 +6,7 @@ from hvml.errors import ConfigError, ParseError
 from hvml.trainer import TrainConfig, emit_curves, evaluate, read_curves, train
 
 import seed_panel
+from oracles import leave_one_out_contribution
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,21 @@ class TestTrainLoop:
     def test_archive_capped_by_pruning(self, toy_dataset):
         res = train(toy_dataset, tiny_config(epochs=8, archive_cap=3))
         assert len(res.archive) <= 3
+
+    def test_prune_drops_what_the_leave_one_out_oracle_drops(self):
+        # points on the plane x + y + z = 1 never dominate one another; each
+        # drop's smallest contribution is clear of the next by far more than
+        # rounding, so both must drop the same rows in the same order
+        pts = np.random.default_rng(31).dirichlet(np.ones(3), 24)
+        front = pareto.Front(pts, tuple(f"p{i}" for i in range(len(pts))))
+        kept = list(range(len(pts)))
+        while len(kept) > 18:
+            contribs = sorted((leave_one_out_contribution(pts[kept], j), j)
+                              for j in range(len(kept)))
+            assert contribs[1][0] - contribs[0][0] > 1e-9
+            del kept[contribs[0][1]]
+        pruned = trainer._prune_archive(front, 18)
+        assert pruned.tags == tuple(f"p{i}" for i in kept)
 
     def test_empty_split_is_config_error(self):
         ds = synth.copy_task(seed=3)
