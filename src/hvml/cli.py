@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import secrets
@@ -182,7 +183,7 @@ def cmd_train(args) -> int:
             for key, inc in sorted(result.best_per_loss.items())
         },
         "archive_size": len(result.archive),
-        "archive_hv": result.archive_hv[-1] if result.archive_hv else None,
+        "archive_hv": result.archive_hv[-1],
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary, indent=2))
@@ -291,7 +292,7 @@ def cmd_sweep(args) -> int:
             "best_l1": best["l1"].l1, "best_l2": best["l2"].l2, "best_l3": best["l3"].l3,
             "best_l4": result.best_per_loss["l4"].validation_bce,
             "final_gm": geometric_mean(result.final.validation),
-            "archive_hv": result.archive_hv[-1] if result.archive_hv else None,
+            "archive_hv": result.archive_hv[-1],
         }
         rows.append(row)
         np.savetxt(out / f"archive_hv_c{c}.csv",
@@ -330,9 +331,8 @@ def _add_out(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, embedding: bool = True) -> None:
-    """The flags of train and sweep: one per _CONFIG_KEYS entry except
-    track_archive_hv (config file only) and, for sweep, embedding (from
-    --c-list)."""
+    """The flags of train and sweep: one per _CONFIG_KEYS entry, except
+    embedding for sweep (it takes --c-list instead)."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_out(p)
     p.add_argument("--manifest", help="dataset manifest JSON")
@@ -340,13 +340,11 @@ def _add_run_flags(p: argparse.ArgumentParser, embedding: bool = True) -> None:
     p.add_argument("--epochs", type=int)
     if embedding:
         p.add_argument("--embedding", type=int)
-    p.add_argument("--mc-samples", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--sigma", type=float)
     p.add_argument("--lambda-pop", type=int)
     p.add_argument("--mu", type=int)
     p.add_argument("--c-cov", type=float)
-    p.add_argument("--exact-fitness", action="store_const", const=True)
     p.add_argument("--archive-cap", type=int)
 
 
@@ -354,7 +352,9 @@ def _int_list(text: str) -> list[int]:
     return [int(c) for c in text.split(",") if c.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once: building it costs more than a parse."""
     parser = argparse.ArgumentParser(prog="hvml",
                                      description="Hypervolume-guided multi-label learning")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -143,12 +143,11 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
 # ARFF loading
 
 def _parse_attribute(line: str, path, lineno: int) -> tuple[str, object]:
-    body = line.split(None, 1)[1].strip()
+    body = (line.split(None, 1) + [""])[1].strip()   # "" when the line names no attribute
     if body.startswith(("'", '"')):
-        quote = body[0]
-        end = body.index(quote, 1)
-        name = body[1:end]
-        rest = body[end + 1:].strip()
+        name, closed, rest = body[1:].partition(body[0])
+        if not closed:
+            raise ParseError(f"unterminated attribute name: {line!r}", path, lineno)
     else:
         parts = body.split(None, 1)
         if len(parts) != 2:
@@ -160,7 +159,7 @@ def _parse_attribute(line: str, path, lineno: int) -> tuple[str, object]:
             raise ParseError(f"unterminated nominal value list for attribute {name!r}", path, lineno)
         values = [v.strip().strip("'\"") for v in rest[1:-1].split(",")]
         return name, tuple(values)
-    kind = rest.split()[0].lower()
+    kind = (rest.split() or [""])[0].lower()
     if kind in ("numeric", "real", "integer"):
         return name, NUMERIC
     raise ParseError(f"unsupported attribute type {rest!r} for attribute {name!r}", path, lineno)
@@ -282,7 +281,7 @@ def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> np.ndarray:
         if body:
             for item in body.split(","):
                 parts = item.split()
-                if len(parts) != 2:
+                if len(parts) != 2 or not parts[0].isdecimal():
                     raise ParseError(f"malformed sparse entry {item!r}", path, lineno)
                 idx = int(parts[0])
                 if not 0 <= idx < n_attrs:
@@ -373,6 +372,8 @@ def load_manifest(path) -> Dataset:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}", path) from None
+    if not isinstance(manifest, dict):
+        raise ParseError("manifest must hold a JSON object", path)
 
     def resolve(p):
         p = Path(os.path.expandvars(os.path.expanduser(str(p))))
@@ -380,9 +381,9 @@ def load_manifest(path) -> Dataset:
 
     name = manifest.get("name")
     if "arff_path" in manifest:
-        if "label_count" not in manifest:
-            raise ParseError("ARFF manifest requires label_count", path)
-        return load_arff(resolve(manifest["arff_path"]), int(manifest["label_count"]),
+        if type(manifest.get("label_count")) is not int:   # a bool is not a count
+            raise ParseError("ARFF manifest requires an integer label_count", path)
+        return load_arff(resolve(manifest["arff_path"]), manifest["label_count"],
                          labels_at=manifest.get("labels_at", "back"), name=name)
     if "csv_paths" in manifest:
         paths = manifest["csv_paths"]

@@ -8,15 +8,15 @@ bit-identical to an uninterrupted one.
 
 Stream ids used by the package:
 
-== =========================================
+== ======================================================
 id purpose
-== =========================================
+== ======================================================
 0  dataset train/validation/test split
 1  population sampling, keyed by epoch
-2  Monte Carlo fitness, keyed by (epoch, candidate)
+2  ``hvml hv --mc-samples`` estimates, keyed by (0, row)
 3  synthetic dataset generation
 4  sweep runs, keyed by embedding dimension
-== =========================================
+== ======================================================
 """
 
 from __future__ import annotations

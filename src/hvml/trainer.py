@@ -11,12 +11,11 @@ loss vectors, bounded by the unit reference vector. Validation losses go
 into the archives (full non-dominated front plus per-loss bests) and never
 touch fitness; the test split is only evaluated once at the end.
 
-Fitness uses the Monte Carlo estimator with one seeded stream per (epoch,
-candidate) pair, switching to the exact contributions, all from one sweep,
-when the population has at most ``EXACT_FITNESS_MAX_POINTS`` candidates (or
-always, with ``exact_fitness``).
-Everything derives from one root seed, so repeats are bit-identical and a
-resumed run equals an uninterrupted one.
+Every contribution is exact, and all of a generation's come from one sweep
+(``pareto.exact_contributions``), so fitness draws no random numbers: the
+population sampler is the loop's only random stream. Everything derives from
+one root seed, so repeats are bit-identical and a resumed run equals an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .data import Dataset
 from .errors import ConfigError, DimensionError, ParseError
 from .losses import LossVector
 
-EXACT_FITNESS_MAX_POINTS = 20
 LOSS_KEYS = ("l1", "l2", "l3", "l4")
 
 STATE_FILE = "state.npz"
@@ -47,22 +45,19 @@ CURVES_HEADER = ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness
 class TrainConfig:
     epochs: int = 750
     embedding: int = 20
-    mc_samples: int = 10_000
     seed: int = 0
     threshold: float = 0.5
     sigma: float = 0.3
     lambda_pop: int | None = None
     mu: int | None = None
     c_cov: float | None = None
-    exact_fitness: bool = False      # force exact contributions at any front size
     archive_cap: int = 512
-    track_archive_hv: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
+        if self.archive_cap < 1:
+            raise ConfigError(f"archive_cap must be >= 1, got {self.archive_cap}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
 
@@ -161,28 +156,8 @@ def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     bests: dict[str, Incumbent] = {}
     _update_bests(bests, seed0)
     archive = pareto.Front([val_lv], ("e0",))
-    state = TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0,
-                       best_per_loss=bests, archive=archive)
-    if config.track_archive_hv:
-        state.archive_hv.append(pareto.exact_hypervolume(state.archive))
-    return state
-
-
-def _fitness(train_vecs: np.ndarray, config: TrainConfig, epoch: int) -> np.ndarray:
-    """Per-candidate fitness: exclusive hypervolume contribution within the
-    generation's own training loss vectors, bounded by the unit vector (the
-    Monte Carlo sampling space). Scoping the contribution to the generation
-    keeps the selection signal alive for the whole run: the population front
-    is never empty, unlike contributions measured against the all-time
-    archive, which starve to zero once the archive outruns the distribution."""
-    lam = train_vecs.shape[0]
-    front = pareto.Front(train_vecs, tuple(str(i) for i in range(lam)))
-    if config.exact_fitness or lam <= EXACT_FITNESS_MAX_POINTS:
-        return pareto.exact_contributions(front)[1]
-    return np.array([
-        pareto.mc_contribution(front, str(i), g=config.mc_samples,
-                               seed=seeds.seed_sequence(config.seed, seeds.STREAM_MC, epoch, i))
-        for i in range(lam)])
+    return TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0, best_per_loss=bests,
+                      archive=archive, archive_hv=[pareto.exact_hypervolume(archive)])
 
 
 def train(dataset: Dataset, config: TrainConfig,
@@ -211,7 +186,13 @@ def train(dataset: Dataset, config: TrainConfig,
         evals = [eval_candidate(p) for p in params]
         train_vecs = np.array([np.asarray(tr[0]) for tr, _ in evals])
 
-        fitness = _fitness(train_vecs, config, epoch)
+        # fitness: each candidate's exclusive contribution among the
+        # generation's own training loss vectors, bounded by the unit vector.
+        # Scoped to the generation, the front is never empty; contributions
+        # against the all-time archive starve to zero once it outruns the
+        # distribution.
+        tags = tuple(str(i) for i in range(len(params)))
+        fitness = pareto.exact_contributions(pareto.Front(train_vecs, tags))[1]
 
         # archives and curves use validation losses only
         for i, ((tr_lv, tr_bce), (va_lv, va_bce)) in enumerate(evals):
@@ -224,8 +205,7 @@ def train(dataset: Dataset, config: TrainConfig,
                      for i in range(len(params))]
         state.archive = pareto.update_reference_set(state.archive, val_pairs)
         state.archive = _prune_archive(state.archive, config.archive_cap)
-        if config.track_archive_hv:
-            state.archive_hv.append(pareto.exact_hypervolume(state.archive))
+        state.archive_hv.append(pareto.exact_hypervolume(state.archive))
 
         # distribution update from the top-mu by fitness (ties: candidate order)
         order = np.argsort(-fitness, kind="stable")

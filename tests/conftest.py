@@ -36,16 +36,14 @@ def benchmark_by_dataset(benchmark_rows):
 def copy_task_panel():
     """Criterion 9's copy-task run at every seed of the panel under both
     samplers: ``{(seed, sampler): (TrainResult, seconds)}``. The moving-average
-    check on curves.csv reads the same runs: archive-HV tracking, which only
-    criterion 9 needs, does not change a run's trajectory."""
+    check on curves.csv reads the same runs."""
     ds = synth.copy_task(n=64, d=4, k=2, seed=7)
     ds = data.normalize(ds.with_split(data.stratified_split(ds, seed=7)))
 
     def run(seed):
         t0 = time.perf_counter()
         result = trainer.train(ds, trainer.TrainConfig(
-            epochs=200, embedding=4, mc_samples=2000, seed=seed, lambda_pop=16, mu=4,
-            sigma=0.3, c_cov=0.1, track_archive_hv=True))
+            epochs=200, embedding=4, seed=seed, lambda_pop=16, mu=4, sigma=0.3, c_cov=0.1))
         return result, time.perf_counter() - t0
 
     return seed_panel.run_panel(run)

@@ -287,8 +287,7 @@ def test_criterion_10_full_scale_run():
     ds = synth.linear_multilabel(n=593, d=72, k=6, seed=13, flip=0.02)
     ds = ds.with_split(data.stratified_split(ds, seed=13))
     ds = data.normalize(ds)
-    config = trainer.TrainConfig(epochs=750, embedding=20, mc_samples=10_000,
-                                 seed=13, track_archive_hv=False)
+    config = trainer.TrainConfig(epochs=750, embedding=20, seed=13)
     result = trainer.train(ds, config)
     elapsed = time.perf_counter() - t0
 

@@ -41,6 +41,25 @@ class TestStats:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "absent.json" in err["message"]
 
+    ARFF = ("@relation r\n@attribute f1 numeric\n@attribute f2 numeric\n"
+            "@attribute l1 {0,1}\n@attribute l2 {0,1}\n@data\n0.1,0.2,0,1\n")
+    ARFF_MANIFEST = json.dumps({"arff_path": "d.arff", "label_count": 2})
+
+    @pytest.mark.parametrize("manifest,arff,where", [
+        ("[1, 2]", ARFF, "m.json: "),
+        (ARFF_MANIFEST, ARFF.replace("@attribute f2 numeric", "@attribute"), "d.arff:3: "),
+        (ARFF_MANIFEST, ARFF + "{x 1}\n", "d.arff:8: "),
+        (json.dumps({"arff_path": "d.arff", "label_count": "two"}), ARFF, "m.json: "),
+    ], ids=["manifest-list", "attribute-without-name", "sparse-index-not-int",
+            "label-count-not-int"])
+    def test_malformed_dataset_input_exits_2(self, tmp_path, capsys, manifest, arff, where):
+        (tmp_path / "m.json").write_text(manifest)
+        (tmp_path / "d.arff").write_text(arff)
+        assert run_cli(["stats", "--manifest", tmp_path / "m.json", "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert f"{tmp_path}/{where}" in err["message"]
+
 
 class TestFlags:
     REQUIRED = {"stats": ["--manifest", "m.json"], "report": ["r.csv"], "hv": ["f.csv"],
@@ -56,6 +75,8 @@ class TestFlags:
         ("train", ["--literal-cma"]), ("train", ["--sigma-rule", "fifth"]),
         ("sweep", ["--literal-cma"]), ("sweep", ["--embedding", "3"]),
         ("train", ["--workers", "2"]), ("sweep", ["--workers", "2"]),
+        ("train", ["--mc-samples", "500"]), ("sweep", ["--mc-samples", "500"]),
+        ("train", ["--exact-fitness"]), ("sweep", ["--exact-fitness"]),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
     def test_flag_the_command_does_not_read_is_refused(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -198,8 +219,7 @@ class TestTrain:
     def test_short_run_outputs(self, toy_manifest, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 5,
-                        "--epochs", 2, "--embedding", 3, "--lambda-pop", 8, "--mu", 3,
-                        "--mc-samples", 500])
+                        "--epochs", 2, "--embedding", 3, "--lambda-pop", 8, "--mu", 3])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["epochs"] == 2 and summary["seed"] == 5
@@ -274,13 +294,28 @@ class TestTrain:
         assert err["error"] == "ParseError"
         assert "old.json" in err["message"] and "workers" in err["message"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("mc_samples", 10000), ("exact_fitness", False), ("track_archive_hv", True),
+    ])
+    def test_config_file_recording_removed_fitness_option_exits_2(
+            self, toy_manifest, tmp_path, capsys, key, value):
+        # resolved_config.json files written while these options existed
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), key: value}))
+        for command in ("train", "sweep"):
+            assert run_cli([command, "--config", cfg, "--out", tmp_path / "o", "--seed", 1]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["error"] == "ParseError"
+            assert "old.json" in err["message"] and key in err["message"]
+            assert not (tmp_path / "o").exists()
+
     def test_resolved_config_reproduces_run(self, toy_manifest, tmp_path, capsys):
         # no --seed: the drawn seed is recorded and the file alone repeats the run
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"track_archive_hv": False, "archive_cap": 4}))
+        cfg.write_text(json.dumps({"archive_cap": 4}))
         assert run_cli(["train", "--config", cfg, "--manifest", toy_manifest,
                         "--out", tmp_path / "a", "--epochs", 3, "--embedding", 3,
-                        "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]) == 0
+                        "--lambda-pop", 8, "--mu", 3]) == 0
         resolved = tmp_path / "a" / "resolved_config.json"
         assert json.loads(resolved.read_text())["archive_cap"] == 4
         assert run_cli(["train", "--config", resolved, "--out", tmp_path / "b"]) == 0
@@ -311,7 +346,7 @@ class TestTrain:
         # checkpoint's seed (none is given) and so its split, and its
         # curves.csv covers every epoch
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]
+                "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--epochs", 2, "--out", tmp_path / "two"]) == 0
         assert run_cli(args + ["--epochs", 4, "--out", tmp_path / "four"]) == 0
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
@@ -327,13 +362,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("change,key", [
         (["--seed", 6], "seed"), (["--sigma", 0.5], "sigma"), (["--embedding", 4], "embedding"),
-        (["--config", "cfg.json"], "mc_samples"),
+        (["--config", "cfg.json"], "archive_cap"),
     ])
     def test_resume_refuses_changed_setting(self, toy_manifest, tmp_path, capsys, change, key):
-        (tmp_path / "cfg.json").write_text(json.dumps({"mc_samples": 700}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"archive_cap": 7}))
         change = [tmp_path / c if c == "cfg.json" else c for c in change]
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500, "--epochs", 1]
+                "--lambda-pop", 8, "--mu", 3, "--epochs", 1]
         assert run_cli(args + ["--out", tmp_path / "one"]) == 0
         capsys.readouterr()
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "one",
@@ -342,16 +377,24 @@ class TestTrain:
         assert err["error"] == "ConfigError" and key in err["message"]
         assert not (tmp_path / "resumed").exists()
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_archive_cap_below_one_exits_3(self, toy_manifest, tmp_path, capsys, cap):
+        assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
+                        "--archive-cap", cap, "--out", tmp_path / "o"]) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "archive_cap" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_resume_below_checkpoint_epoch_exits_3(self, toy_manifest, tmp_path, capsys):
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500]
+                "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--epochs", 2, "--out", tmp_path / "two"]) == 0
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
                         "--epochs", 1, "--out", tmp_path / "resumed"]) == 3
 
     def test_resume_with_mismatched_curves_exits_2(self, toy_manifest, tmp_path, capsys):
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500, "--epochs", 2]
+                "--lambda-pop", 8, "--mu", 3, "--epochs", 2]
         out = tmp_path / "two"
         assert run_cli(args + ["--out", out]) == 0
         curves = out / "curves.csv"
@@ -391,6 +434,26 @@ class TestTrain:
         assert err["error"] == "ParseError"
         assert "checkpoint.json" in err["message"] and "workers" in err["message"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("mc_samples", 10000), ("exact_fitness", False), ("track_archive_hv", True),
+    ])
+    def test_checkpoint_recording_removed_fitness_option_exits_2(
+            self, toy_manifest, tmp_path, capsys, key, value):
+        # checkpoints written while these options existed record them
+        out = tmp_path / "run"
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
+                "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
+        assert run_cli(args + ["--out", out]) == 0
+        meta = json.loads((out / "checkpoint.json").read_text())
+        meta["config"][key] = value
+        (out / "checkpoint.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "checkpoint.json" in err["message"] and key in err["message"]
+        assert not (tmp_path / "resumed").exists()
+
     @pytest.mark.parametrize("edit,where", [
         (lambda cells: cells[:3] + ["x.5"] + cells[4:], "curves.csv:6:"),
         (lambda cells: cells[:5], "curves.csv:6:"),
@@ -399,7 +462,7 @@ class TestTrain:
     ], ids=["non-number", "short-line", "unknown-split", "missing-row"])
     def test_malformed_curves_row_exits_2(self, toy_manifest, tmp_path, capsys, edit, where):
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--mc-samples", 500, "--epochs", 2]
+                "--lambda-pop", 8, "--mu", 3, "--epochs", 2]
         out = tmp_path / "two"
         assert run_cli(args + ["--out", out]) == 0
         curves = out / "curves.csv"
@@ -467,13 +530,11 @@ class TestTrain:
     def test_copy_task_learns_through_cli(self, toy_manifest, tmp_path, capsys):
         # the command's training path (its split by the run seed, its
         # flags) at every seed of the panel under both samplers: the final
-        # incumbent generalizes (test l1 small) and validation is learned
-        # too. Archive-HV tracking is off: it does not change the run.
+        # incumbent generalizes (test l1 small) and validation is learned too
         def run(seed):
             dataset = cli._prepare_dataset(toy_manifest, seed)
             res = trainer.train(dataset, trainer.TrainConfig(
-                seed=seed, epochs=200, embedding=4, lambda_pop=16, mu=4, c_cov=0.1,
-                mc_samples=2000, track_archive_hv=False))
+                seed=seed, epochs=200, embedding=4, lambda_pop=16, mu=4, c_cov=0.1))
             return res.final_test.l1 <= 0.05 and res.final.validation.l1 <= 0.1
 
         passed = seed_panel.run_panel(run)
@@ -483,7 +544,7 @@ class TestTrain:
         out = tmp_path / "full"
         code = run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 4,
                         "--epochs", 20, "--embedding", 4, "--lambda-pop", 16, "--mu", 4,
-                        "--c-cov", 0.1, "--mc-samples", 2000])
+                        "--c-cov", 0.1])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["epochs"] == 20 and summary["seed"] == 4
@@ -496,7 +557,7 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = run_cli(["sweep", "--manifest", toy_manifest, "--c-list", "2,4",
                         "--out", out, "--seed", 3, "--epochs", 2,
-                        "--lambda-pop", 8, "--mu", 3, "--mc-samples", 300])
+                        "--lambda-pop", 8, "--mu", 3])
         assert code == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].split(",") == ["c", "seed", "best_l1", "best_l2", "best_l3",
@@ -507,24 +568,34 @@ class TestSweep:
 
     def test_deterministic(self, toy_manifest, tmp_path, capsys):
         args = ["sweep", "--manifest", toy_manifest, "--c-list", "2,3", "--seed", 3,
-                "--epochs", 1, "--lambda-pop", 8, "--mu", 3, "--mc-samples", 300]
+                "--epochs", 1, "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--out", tmp_path / "a"]) == 0
         assert run_cli(args + ["--out", tmp_path / "b"]) == 0
         assert (tmp_path / "a" / "sweep.csv").read_text() == (tmp_path / "b" / "sweep.csv").read_text()
 
-    def test_config_file_options_reach_every_run(self, toy_manifest, tmp_path, capsys):
+    def test_config_file_options_reach_every_run(self, toy_manifest, tmp_path, capsys,
+                                                 monkeypatch):
+        configs = []
+        real_train = trainer.train
+        monkeypatch.setattr(trainer, "train", lambda dataset, config, **kwargs: (
+            configs.append(config) or real_train(dataset, config, **kwargs)))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"manifest": str(toy_manifest), "c_list": [2, 3],
-                                   "track_archive_hv": False, "epochs": 2, "lambda_pop": 8,
-                                   "mu": 3, "mc_samples": 300, "command": "sweep"}))
+                                   "archive_cap": 2, "epochs": 2, "lambda_pop": 8,
+                                   "mu": 3, "command": "sweep"}))
         out = tmp_path / "sweep"
         assert run_cli(["sweep", "--config", cfg, "--out", out, "--seed", 3]) == 0
+        assert [(c.embedding, c.archive_cap, c.epochs, c.lambda_pop, c.mu) for c in configs] == [
+            (2, 2, 2, 8, 3), (3, 2, 2, 8, 3)]
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
-        assert all(line.endswith(",None") for line in lines[1:])
-        assert (out / "archive_hv_c2.csv").read_text().strip() == "epoch,archive_hv"
+        for line in lines[1:]:
+            hv = np.loadtxt(out / f"archive_hv_c{line.split(',')[0]}.csv", delimiter=",",
+                            skiprows=1)
+            assert hv.shape == (3, 2)   # the initial archive and one row per epoch
+            assert float(line.split(",")[-1]) == hv[-1, 1]
         resolved = json.loads((out / "resolved_config.json").read_text())
-        assert resolved["track_archive_hv"] is False and resolved["c_list"] == [2, 3]
+        assert resolved["archive_cap"] == 2 and resolved["c_list"] == [2, 3]
 
     def test_archive_cap_flag(self, toy_manifest, tmp_path, capsys, monkeypatch):
         caps = []
@@ -537,7 +608,7 @@ class TestSweep:
         monkeypatch.setattr(trainer, "train", recording_train)
         assert run_cli(["sweep", "--manifest", toy_manifest, "--c-list", "2",
                         "--out", tmp_path / "o", "--seed", 3, "--epochs", 1,
-                        "--lambda-pop", 8, "--mu", 3, "--mc-samples", 300,
+                        "--lambda-pop", 8, "--mu", 3,
                         "--archive-cap", 5]) == 0
         assert caps == [5]
 

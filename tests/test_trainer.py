@@ -17,7 +17,7 @@ def toy_dataset():
 
 
 def tiny_config(**overrides):
-    base = dict(epochs=3, embedding=3, mc_samples=500, seed=5, lambda_pop=8, mu=3,
+    base = dict(epochs=3, embedding=3, seed=5, lambda_pop=8, mu=3,
                 sigma=0.3, c_cov=0.1)
     base.update(overrides)
     return TrainConfig(**base)
@@ -87,41 +87,26 @@ class TestTrainLoop:
             assert getattr(res.best_per_loss[key].validation, key) == pytest.approx(running[key])
 
     def test_archive_hv_non_decreasing(self, toy_dataset):
-        res = train(toy_dataset, tiny_config(epochs=10, track_archive_hv=True))
+        res = train(toy_dataset, tiny_config(epochs=10))
         hv = np.array(res.archive_hv)
         assert len(hv) == 11  # initial seed plus one per epoch
         assert (np.diff(hv) >= -1e-12).all()
 
     def test_fitness_uses_training_losses_only(self, toy_dataset):
-        # exact fitness: recompute each epoch's contributions from the
-        # recorded TRAINING loss vectors and compare
-        res = train(toy_dataset, tiny_config(epochs=4, exact_fitness=True))
+        # each epoch's fitness is the exclusive contribution of the recorded
+        # TRAINING losses among that epoch's population, at any population size
+        res = train(toy_dataset, tiny_config(epochs=3, lambda_pop=24, mu=6))
         by_epoch = {}
         for rec in res.curves:
             by_epoch.setdefault(rec.epoch, []).append(rec)
-        for epoch, recs in by_epoch.items():
+        assert sorted(by_epoch) == [1, 2, 3]
+        for recs in by_epoch.values():
             recs.sort(key=lambda r: r.candidate)
-            front = [(np.asarray(r.train), str(r.candidate)) for r in recs]
-            for r in recs:
-                expected = pareto.exact_contribution(front, str(r.candidate))
+            assert len(recs) == 24 and any(r.fitness > 0 for r in recs)
+            train_vecs = np.array([np.asarray(r.train) for r in recs])
+            for i, r in enumerate(recs):
+                expected = leave_one_out_contribution(train_vecs, i)
                 assert r.fitness == pytest.approx(expected, abs=1e-12)
-
-    def test_mc_fitness_matches_module_estimator(self, toy_dataset):
-        # population larger than the exact-path cutoff forces Monte Carlo
-        from hvml import seeds
-        cfg = tiny_config(epochs=2, mc_samples=300, lambda_pop=24)
-        res = train(toy_dataset, cfg)
-        by_epoch = {}
-        for rec in res.curves:
-            by_epoch.setdefault(rec.epoch, []).append(rec)
-        for epoch, recs in by_epoch.items():
-            recs.sort(key=lambda r: r.candidate)
-            front = [(np.asarray(r.train), str(r.candidate)) for r in recs]
-            for r in recs:
-                seed = seeds.seed_sequence(cfg.seed, seeds.STREAM_MC, epoch, r.candidate)
-                expected = pareto.mc_contribution(front, str(r.candidate),
-                                                  g=cfg.mc_samples, seed=seed)
-                assert r.fitness == pytest.approx(expected, abs=1e-15)
 
     def test_one_forward_pass_per_candidate(self, toy_dataset, monkeypatch):
         # train and validation rows are scored together; the other passes are
