@@ -159,10 +159,13 @@ def cmd_train(args) -> int:
     if resume_state is not None and config.epochs < resume_state.epoch:
         raise ConfigError(f"resume: epochs {config.epochs} is below the checkpoint's "
                           f"epoch {resume_state.epoch}")
+    dataset = _prepare_dataset(resolved["manifest"], config.seed)
+    state = resume_state if resume_state is not None else trainer.initial_state(dataset, config)
+    # written only once the run is accepted, so a refused run leaves the
+    # resolved config of the run already in --out as it was
     out = _out_dir(args, "train")
     _write_resolved(out, "train", resolved)
-    dataset = _prepare_dataset(resolved["manifest"], config.seed)
-    result = trainer.train(dataset, config, resume_state=resume_state)
+    result = trainer.train(dataset, config, resume_state=state)
 
     trainer.emit_curves(result.curves, out / "curves.csv")
     trainer.save_checkpoint(result.state, config, out)
@@ -277,15 +280,19 @@ def cmd_sweep(args) -> int:
     if not c_values:
         raise ConfigError("sweep requires a non-empty embedding dimension list "
                           "(--c-list or config c_list)")
-    out = _out_dir(args, "sweep")
-    _write_resolved(out, "sweep", resolved)
-
-    rows = []
+    runs = []
     for c in c_values:
         run_seed = int(seeds.rng_for(resolved["seed"], seeds.STREAM_SWEEP, c).integers(2**31))
         config = _train_config({**resolved, "embedding": c, "seed": run_seed})
         dataset = _prepare_dataset(resolved["manifest"], run_seed)
-        result = trainer.train(dataset, config)
+        runs.append((c, run_seed, config, dataset, trainer.initial_state(dataset, config)))
+    # written only once every run is accepted, as in train
+    out = _out_dir(args, "sweep")
+    _write_resolved(out, "sweep", resolved)
+
+    rows = []
+    for c, run_seed, config, dataset, state in runs:
+        result = trainer.train(dataset, config, resume_state=state)
         best = {key: inc.validation for key, inc in result.best_per_loss.items()}
         row = {
             "c": c, "seed": run_seed,

@@ -383,6 +383,9 @@ def load_manifest(path) -> Dataset:
     if "arff_path" in manifest:
         if type(manifest.get("label_count")) is not int:   # a bool is not a count
             raise ParseError("ARFF manifest requires an integer label_count", path)
+        if manifest.get("labels_at", "back") not in ("front", "back"):
+            raise ParseError(f"labels_at must be 'front' or 'back', got "
+                             f"{manifest['labels_at']!r}", path)
         return load_arff(resolve(manifest["arff_path"]), manifest["label_count"],
                          labels_at=manifest.get("labels_at", "back"), name=name)
     if "csv_paths" in manifest:

@@ -21,7 +21,10 @@ is never optimized. Conventions that are not forced by the definitions:
 
 Every loss takes plain matrices, which it checks on each call, or a
 ``Truth`` and ``Scores`` prepared once: the trainer checks and indexes each
-split's labels once per run and each score matrix once.
+split's labels once per run (``Truth``: 2-D, non-empty, 0/1) and each
+candidate's score matrix once (``Scores``: 2-D, non-empty, finite, inside
+[0, 1]), not once per loss. Prepared and plain inputs give bit-identical
+losses.
 """
 
 from __future__ import annotations
@@ -65,19 +68,20 @@ def _binary(name: str, m) -> np.ndarray:
 class Truth:
     """A binary label matrix, checked once and indexed for the losses.
 
-    Holds the boolean matrix, the (row, label) indices of its positive
-    entries in row-major order, the truth row of each positive as a
-    K x positives matrix, and each positive's LRAP weight
+    Holds the boolean matrix, the row and the flat (row * K + label) index
+    of each positive entry in row-major order, the truth row of each
+    positive as a K x positives matrix, and each positive's LRAP weight
     1 / (positives in its row * rows with a positive), so that LRAP is the
     weighted sum of the positives' precisions. Every loss accepts a Truth
     wherever it accepts a plain truth matrix.
     """
 
-    __slots__ = ("matrix", "rows", "labels", "row_truth", "weights", "positives")
+    __slots__ = ("matrix", "rows", "flat", "row_truth", "weights", "positives")
 
     def __init__(self, truth):
         self.matrix = _binary("truth", truth)
-        self.rows, self.labels = np.nonzero(self.matrix)
+        self.flat = np.flatnonzero(self.matrix)
+        self.rows = self.flat // self.matrix.shape[1]
         self.row_truth = np.ascontiguousarray(self.matrix[self.rows].T)
         self.positives = int(self.rows.size)
         per_row = np.count_nonzero(self.matrix, axis=1)
@@ -87,15 +91,19 @@ class Truth:
 
 class Scores:
     """A score matrix checked once: 2-D, non-empty, finite, inside [0, 1].
-    The score-based losses accept one wherever they accept a plain matrix."""
+    The score-based losses accept one wherever they accept a plain matrix.
+
+    The range check is one min and one max: a NaN propagates into both and
+    fails it, and so does an infinity. Only a refused matrix is looked at
+    again, to say which of the two rules it breaks."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, scores):
         s = _as_2d("scores", scores)
-        if not np.isfinite(s).all():
-            raise DimensionError("scores contains non-finite entries")
-        if (s < 0).any() or (s > 1).any():
+        if not (s.min() >= 0.0 and s.max() <= 1.0):
+            if not np.isfinite(s).all():
+                raise DimensionError("scores contains non-finite entries")
             raise DimensionError("scores entries must lie in [0, 1]")
         self.matrix = s
 
@@ -122,7 +130,7 @@ def hamming_loss(pred, truth) -> float:
     """Fraction of mismatched label slots over all N*K entries."""
     p = _binary("pred", pred)
     t = _truth(truth, p)
-    return float(np.mean(p != t.matrix))
+    return float(np.count_nonzero(p != t.matrix) / p.size)
 
 
 def lrap(scores, truth) -> float:
@@ -140,9 +148,9 @@ def lrap(scores, truth) -> float:
     if t.positives == 0:
         raise UndefinedMetricError("LRAP is undefined: no sample has a positive label")
     # [k, p]: label k of positive p's row scores at least as high as p
-    at_least = np.take(s.T, t.rows, axis=1) >= s[t.rows, t.labels]
-    rank = at_least.sum(axis=0)                     # competition "max" rank of p
-    true_above = (at_least & t.row_truth).sum(axis=0)
+    at_least = np.take(s.T, t.rows, axis=1) >= s.take(t.flat)
+    rank = np.add.reduce(at_least, axis=0, dtype=np.intp)   # competition "max" rank of p
+    true_above = np.add.reduce(at_least & t.row_truth, axis=0, dtype=np.intp)
     return float(np.sum(t.weights * (true_above / rank)))
 
 

@@ -94,13 +94,17 @@ def update_reference_set(front: Front, new_points) -> Front:
     included) is dropped, and an accepted one drops the points it dominates."""
     pts, tags = _points_tags(front)
     new_pts, new_tags = _points_tags(new_points)
-    cur = list(zip(pts, tags))
     for p, t in zip(new_pts, new_tags):
-        if any(np.all(q <= p) for q, _ in cur):
-            continue  # dominated by (or duplicate of) an incumbent
-        cur = [(q, qt) for q, qt in cur if not (np.all(p <= q) and np.any(p < q))]
-        cur.append((p, t))
-    return Front([q for q, _ in cur], tuple(t for _, t in cur))
+        if (pts <= p).all(axis=1).any():
+            continue  # dominated by (or duplicate of) a kept point
+        # no kept point equals p now, so p <= q means p dominates q
+        drop = (p <= pts).all(axis=1)
+        if drop.any():
+            pts = pts[~drop]
+            tags = [qt for qt, d in zip(tags, drop.tolist()) if not d]
+        pts = np.concatenate([pts, p[None]])
+        tags.append(t)
+    return Front(pts, tuple(tags))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Each epoch samples a population of parameter vectors and scores every
 candidate with one forward pass over the training and validation rows
-stacked together (each output row depends only on its own input row), then
-takes the losses of each split against its label matrix, which is checked
-and indexed once per run (``losses.Truth``). A candidate's fitness is
+stacked together (each output row depends only on its own input row; the
+stacked rows are checked once per run, ``model.Features``), then takes the
+losses of each split against its label matrix, which is checked and indexed
+once per run (``losses.Truth``). A candidate's fitness is
 its exclusive hypervolume contribution within its own generation: the
 volume of loss space it alone dominates among the population's TRAINING
 loss vectors, bounded by the unit reference vector. Validation losses go
@@ -54,8 +55,24 @@ class TrainConfig:
     archive_cap: int = 512
 
     def __post_init__(self):
+        """Refuse every value that no run could use, so a run is refused
+        before it writes anything; ``mu`` against a default population size
+        needs the parameter count and is checked by ``initial_state``."""
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.embedding < 1:
+            raise ConfigError(f"embedding must be >= 1, got {self.embedding}")
+        if self.sigma < 0:
+            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if self.lambda_pop is not None and self.lambda_pop < 2:
+            raise ConfigError(f"lambda_pop must be >= 2, got {self.lambda_pop}")
+        if self.mu is not None and self.mu < 1:
+            raise ConfigError(f"mu must be >= 1, got {self.mu}")
+        if self.mu is not None and self.lambda_pop is not None and self.mu >= self.lambda_pop:
+            raise ConfigError(f"mu must be below lambda_pop, got mu={self.mu} "
+                              f"lambda_pop={self.lambda_pop}")
+        if self.c_cov is not None and not 0.0 <= self.c_cov <= 1.0:
+            raise ConfigError(f"c_cov must lie in [0, 1], got {self.c_cov}")
         if self.archive_cap < 1:
             raise ConfigError(f"archive_cap must be >= 1, got {self.archive_cap}")
         if not 0.0 < self.threshold < 1.0:
@@ -145,7 +162,9 @@ def _update_bests(bests: dict[str, Incumbent], cand: Incumbent) -> None:
             bests[key] = cand
 
 
-def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
+def initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
+    """The state before epoch 1: the initial search distribution, and the
+    neutral model at its mean as incumbent, per-loss best and archive."""
     shape = model.ModelShape(d=dataset.d, c=config.embedding, k=dataset.k)
     cma = cmaes.CmaState.initial(
         shape.n_params, sigma=config.sigma, lambda_pop=config.lambda_pop,
@@ -162,21 +181,24 @@ def _initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
 
 def train(dataset: Dataset, config: TrainConfig,
           resume_state: TrainState | None = None) -> TrainResult:
-    """Run the optimization loop and return incumbents, archives, and curves."""
+    """Run the optimization loop from ``resume_state`` (a loaded checkpoint
+    or ``initial_state``'s result; built here when None) and return
+    incumbents, archives, and curves. The stacked features and each split's
+    labels are checked once, before epoch 1."""
     if dataset.split is None:
         raise ConfigError("dataset must be split before training")
+    state = resume_state if resume_state is not None else initial_state(dataset, config)
     x_tr, y_tr = dataset.rows("train")
     x_va, y_va = dataset.rows("validation")
-    x_both = np.concatenate([x_tr, x_va])
+    features = model.Features(np.concatenate([x_tr, x_va]), state.shape)
     n_tr = x_tr.shape[0]
     truth_tr, truth_va = losses.Truth(y_tr), losses.Truth(y_va)
 
     def eval_candidate(p):
-        scores = model.forward(p, x_both)
+        scores = model.forward(p, features)
         return (_split_losses(scores[:n_tr], truth_tr, config.threshold),
                 _split_losses(scores[n_tr:], truth_va, config.threshold))
 
-    state = resume_state if resume_state is not None else _initial_state(dataset, config)
     cma = state.cma
     for epoch in range(state.epoch + 1, config.epochs + 1):
         population = cmaes.sample_population(

@@ -71,6 +71,39 @@ def two_pass_standardize(m, eps=1e-8):
     return (a - mean) / np.maximum(std, eps)
 
 
+def split_forward(flat, d, c, k, x):
+    """The network's forward pass from the package's former parts: the flat
+    vector cut by np.cumsum/np.split, biases added out of place, the
+    two-pass standardization and the masked sigmoid."""
+    x = np.asarray(x, dtype=float)
+    bounds = np.cumsum([d * c, c, c * c, c, c * k, k])
+    e, b_e, w, b_w, dec, b_dec = np.split(np.asarray(flat, dtype=float), bounds[:-1])
+    h = masked_sigmoid(two_pass_standardize(x @ e.reshape(d, c) + b_e))
+    h = masked_sigmoid(two_pass_standardize(h @ w.reshape(c, c) + b_w))
+    return masked_sigmoid(h @ dec.reshape(c, k) + b_dec)
+
+
+def mean_hamming(pred, truth):
+    """Hamming loss as numpy's mean of the mismatch matrix (the package's
+    former form)."""
+    return float(np.mean(np.asarray(pred) != np.asarray(truth)))
+
+
+def gather_lrap(scores, truth):
+    """LRAP by the package's former gather: each positive's own score by
+    (row, label) fancy indexing, counts by boolean sums, and the per-positive
+    weight 1 / (positives in its row * rows with a positive)."""
+    s = np.asarray(scores, dtype=float)
+    t = np.asarray(truth) == 1
+    rows, labels = np.nonzero(t)
+    per_row = np.count_nonzero(t, axis=1)
+    weights = 1.0 / (per_row[rows] * np.count_nonzero(per_row))
+    at_least = np.take(s.T, rows, axis=1) >= s[rows, labels]
+    rank = at_least.sum(axis=0)
+    true_above = (at_least & t[rows].T).sum(axis=0)
+    return float(np.sum(weights * (true_above / rank)))
+
+
 def brute_hamming(pred, truth):
     pred = np.asarray(pred)
     truth = np.asarray(truth)
@@ -140,6 +173,22 @@ def nondominated_filter(pairs):
     earlier_dup = np.array([eq[:j, j].any() for j in range(len(pts))], dtype=bool)
     keep = ~dominated & ~earlier_dup
     return pts[keep], tuple(str(t) for (_, t), k in zip(pairs, keep) if k)
+
+
+def loop_merge(pairs, new_pairs):
+    """Merge (vector, tag) pairs into the non-dominated list ``pairs`` one
+    at a time by a Python loop over the kept points (the package's former
+    merge): a new point weakly dominated by a kept one is dropped, an
+    accepted one drops the points it dominates and goes last. Returns
+    (points, tags)."""
+    cur = [(np.asarray(p, dtype=float), str(t)) for p, t in pairs]
+    for p, t in new_pairs:
+        p = np.asarray(p, dtype=float)
+        if any(np.all(q <= p) for q, _ in cur):
+            continue
+        cur = [(q, qt) for q, qt in cur if not (np.all(p <= q) and np.any(p < q))]
+        cur.append((p, str(t)))
+    return np.array([q for q, _ in cur], dtype=float).reshape(-1, 3), tuple(t for _, t in cur)
 
 
 def mc_box_union_volume(los, his, n_samples=200_000, seed=0):

@@ -50,8 +50,10 @@ class TestStats:
         (ARFF_MANIFEST, ARFF.replace("@attribute f2 numeric", "@attribute"), "d.arff:3: "),
         (ARFF_MANIFEST, ARFF + "{x 1}\n", "d.arff:8: "),
         (json.dumps({"arff_path": "d.arff", "label_count": "two"}), ARFF, "m.json: "),
+        (json.dumps({"arff_path": "d.arff", "label_count": 2, "labels_at": "middle"}), ARFF,
+         "m.json: "),
     ], ids=["manifest-list", "attribute-without-name", "sparse-index-not-int",
-            "label-count-not-int"])
+            "label-count-not-int", "labels-at-neither-end"])
     def test_malformed_dataset_input_exits_2(self, tmp_path, capsys, manifest, arff, where):
         (tmp_path / "m.json").write_text(manifest)
         (tmp_path / "d.arff").write_text(arff)
@@ -385,6 +387,24 @@ class TestTrain:
         assert err["error"] == "ConfigError" and "archive_cap" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad,key", [
+        (["--lambda-pop", 1], "lambda_pop"), (["--sigma", -0.1], "sigma"),
+        (["--embedding", 0], "embedding"), (["--mu", 0], "mu"), (["--c-cov", 1.5], "c_cov"),
+        (["--lambda-pop", 8, "--mu", 8], "mu"),
+        (["--mu", 14], "mu"),   # the default lambda at this dataset's L = 35
+    ])
+    def test_refused_run_keeps_the_resolved_config_in_out(self, toy_manifest, tmp_path, capsys,
+                                                          bad, key):
+        out = tmp_path / "run"
+        assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
+                        "--embedding", 3, "--lambda-pop", 8, "--mu", 3, "--out", out]) == 0
+        before = (out / "resolved_config.json").read_bytes()
+        assert run_cli(["train", "--manifest", toy_manifest, "--epochs", 1, "--embedding", 3,
+                        *bad, "--out", out]) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert key in err["message"]
+        assert (out / "resolved_config.json").read_bytes() == before
+
     def test_resume_below_checkpoint_epoch_exits_3(self, toy_manifest, tmp_path, capsys):
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
                 "--lambda-pop", 8, "--mu", 3]
@@ -617,6 +637,24 @@ class TestSweep:
         cfg.write_text(json.dumps({"embedding": 4}))
         assert run_cli(["sweep", "--config", cfg, "--manifest", toy_manifest,
                         "--c-list", "2", "--out", tmp_path / "o", "--seed", 1]) == 3
+
+    @pytest.mark.parametrize("bad,key", [
+        (["--c-list", "3,0"], "embedding"),
+        (["--c-list", "3,2", "--mu", 13], "mu"),   # default lambda 14 at c=3, 13 at c=2
+    ])
+    def test_refused_sweep_keeps_the_resolved_config_in_out(self, toy_manifest, tmp_path,
+                                                            capsys, bad, key, monkeypatch):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--manifest", toy_manifest, "--epochs", 1, "--out", out]
+        assert run_cli(args + ["--c-list", "2", "--seed", 3, "--lambda-pop", 8,
+                               "--mu", 3]) == 0
+        before = (out / "resolved_config.json").read_bytes()
+        trained = []
+        monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: trained.append(args))
+        assert run_cli(args + bad) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert key in err["message"] and trained == []
+        assert (out / "resolved_config.json").read_bytes() == before
 
     def test_empty_c_list_exits_3(self, toy_manifest, tmp_path, capsys):
         assert run_cli(["sweep", "--manifest", toy_manifest, "--c-list", ",",

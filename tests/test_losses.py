@@ -6,7 +6,8 @@ import pytest
 from hvml import losses
 from hvml.errors import DimensionError, UndefinedMetricError
 
-from oracles import brute_hamming, brute_lrap, brute_micro_f1, cube_lrap
+from oracles import (brute_hamming, brute_lrap, brute_micro_f1, cube_lrap, gather_lrap,
+                     mean_hamming)
 
 
 class TestBinarize:
@@ -215,7 +216,7 @@ def _grid_case(rng, n, k):
 class TestTruth:
     def test_indexes_positives_row_major(self):
         t = losses.Truth([[0, 1, 1], [0, 0, 0], [1, 0, 0]])
-        assert t.rows.tolist() == [0, 0, 2] and t.labels.tolist() == [1, 2, 0]
+        assert t.rows.tolist() == [0, 0, 2] and t.flat.tolist() == [1, 2, 6]
         assert t.positives == 3
         # two counted rows: a row with two positives weighs 1/4 each
         assert t.weights.tolist() == [0.25, 0.25, 0.5]
@@ -230,6 +231,20 @@ class TestTruth:
     def test_scores_checked_when_built(self, bad):
         with pytest.raises(DimensionError):
             losses.Scores(bad)
+
+    @pytest.mark.parametrize("bad,message", [
+        ([[0.2, np.nan]], "non-finite"), ([[np.nan, 0.2]], "non-finite"),
+        ([[0.2, np.inf]], "non-finite"), ([[-np.inf, 0.2]], "non-finite"),
+        ([[-0.5, np.nan]], "non-finite"), ([[1.5, np.nan]], "non-finite"),
+        ([[0.3, -1e-300]], "must lie in"), ([[0.3, 1.0000000000000002, 0.2]], "must lie in"),
+        ([[-0.0, 1.0], [0.5, -5e-324]], "must lie in")])
+    def test_scores_refusals_name_the_rule(self, bad, message):
+        with pytest.raises(DimensionError, match=message):
+            losses.Scores(bad)
+
+    def test_scores_accept_the_closed_interval(self):
+        edges = np.array([[0.0, 1.0, -0.0, 0.5]])
+        assert np.array_equal(losses.Scores(edges).matrix, edges)
 
     def test_shape_mismatch_with_prepared_truth(self):
         t = losses.Truth([[1, 0], [0, 1]])
@@ -273,6 +288,23 @@ class TestPreparedTruthMatchesOracles:
             assert lv.l2 == pytest.approx(1.0 - brute_lrap(scores, truth), abs=1e-12)
             assert lv.l2 == pytest.approx(1.0 - cube_lrap(scores, truth), abs=1e-12)
             assert lv.l3 == pytest.approx(1.0 - brute_micro_f1(pred, truth), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 6, 14, 53])
+    def test_bitwise_equal_to_former_forms(self, k):
+        # 0.1-grid scores: ties, entries exactly on the threshold, and rows
+        # without a positive label; then continuous scores
+        rng = np.random.default_rng(2000 + k)
+        for n in (1, 7, 40, 593):
+            for scores in (_grid_case(rng, n, k)[0], rng.random((n, k))):
+                truth = _grid_case(rng, n, k)[1]
+                prepared, checked = losses.Truth(truth), losses.Scores(scores)
+                pred = losses.binarize(checked)
+                assert type(losses.hamming_loss(pred, prepared)) is float
+                assert type(losses.lrap(checked, prepared)) is float
+                assert losses.hamming_loss(pred, prepared) == mean_hamming(pred, truth)
+                assert losses.hamming_loss(pred, truth) == mean_hamming(pred, truth)
+                assert losses.lrap(checked, prepared) == gather_lrap(scores, truth)
+                assert losses.lrap(scores, truth) == gather_lrap(scores, truth)
 
     def test_bce_against_direct_sum(self):
         rng = np.random.default_rng(12)

@@ -6,7 +6,7 @@ import pytest
 from hvml import model
 from hvml.errors import DimensionError, NumericError, ParseError
 
-from oracles import masked_sigmoid, two_pass_standardize
+from oracles import masked_sigmoid, split_forward, two_pass_standardize
 
 # frozen fixture: params from default_rng(14), inputs from default_rng(1001),
 # outputs recorded from the implementation and verified against a 50-digit
@@ -99,6 +99,37 @@ class TestRowStandardize:
                 got, want = model.row_standardize(m), two_pass_standardize(m)
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def population_blocks():
+    """(lambda, N, C)-sized pre-activation blocks at the benchmark shapes
+    (emotions: 26 x 593 x 20, yeast: 22 x 2417 x 4) and a wide one."""
+    rng = np.random.default_rng(17)
+    return [rng.standard_normal((26, 593, 20)) * 3.0,
+            rng.standard_normal((22, 2417, 4)) * 10.0 ** rng.uniform(-3, 3, (22, 2417, 1)),
+            rng.uniform(-50, 50, (3, 200, 53))]
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestKernelsOnPopulationBlocks:
+    def test_standardize_bitwise_equal_to_two_pass_form(self):
+        for block in population_blocks():
+            assert_bitwise(model.row_standardize(block), two_pass_standardize(block))
+            assert_bitwise(model._standardize_rows(block.copy()), two_pass_standardize(block))
+
+    def test_row_standardize_leaves_its_input_alone(self):
+        block = population_blocks()[0]
+        before = block.copy()
+        model.row_standardize(block)
+        assert np.array_equal(block, before)
+
+    def test_sigmoid_bitwise_equal_to_masked_form(self):
+        for block in population_blocks():
+            assert_bitwise(model._sigmoid(block), masked_sigmoid(block))
 
 
 class TestSigmoid:
@@ -200,6 +231,32 @@ class TestForward:
             model.forward(params, np.zeros((2, 4)))
         with pytest.raises(NumericError):
             model.forward(params, np.array([[1.0, np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("d,c,k,n", [(72, 20, 6, 593), (103, 4, 14, 2417), (3, 2, 2, 4),
+                                         (1, 1, 1, 5), (40, 10, 8, 300)])
+    def test_bitwise_equal_to_former_form(self, d, c, k, n):
+        rng = np.random.default_rng(d * 1000 + n)
+        shape = model.ModelShape(d, c, k)
+        x = rng.standard_normal((n, d))
+        for scale in (0.1, 1.0, 30.0):
+            flat = rng.standard_normal(shape.n_params) * scale
+            params = model.ModelParams(flat, shape)
+            want = split_forward(flat, d, c, k, x)
+            assert_bitwise(model.forward(params, x), want)
+            assert_bitwise(model.forward(params, model.Features(x, shape)), want)
+
+    @pytest.mark.parametrize("x,error", [
+        (np.zeros(3), DimensionError), (np.zeros((2, 4)), DimensionError),
+        (np.array([[1.0, np.nan, 0.0]]), NumericError),
+        (np.array([[1.0, -np.inf, 0.0]]), NumericError)])
+    def test_features_checked_when_built(self, x, error):
+        with pytest.raises(error):
+            model.Features(x, model.ModelShape(d=3, c=2, k=1))
+
+    def test_features_of_another_width_refused(self):
+        features = model.Features(np.zeros((2, 4)), model.ModelShape(d=4, c=2, k=1))
+        with pytest.raises(DimensionError):
+            model.forward(model.ModelParams.zeros(model.ModelShape(d=3, c=2, k=1)), features)
 
     def test_cost_scales_roughly_linearly_in_samples(self):
         # coarse sanity check, not a precise benchmark

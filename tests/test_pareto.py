@@ -6,8 +6,8 @@ from hvml.pareto import (Front, dominates, exact_contribution, exact_contributio
                          exact_hypervolume, hv_decomposition, mc_contribution,
                          update_reference_set)
 
-from oracles import (grid_hv, iex_hv, leave_one_out_contribution, nondominated_filter,
-                     slab_hv, tagged)
+from oracles import (grid_hv, iex_hv, leave_one_out_contribution, loop_merge,
+                     nondominated_filter, slab_hv, tagged)
 
 EMPTY = Front(np.empty((0, 3)), ())
 
@@ -369,6 +369,46 @@ class TestUpdateReferenceSet:
         base = [(p, f"a{i}") for i, p in enumerate(base_pts)]
         assert len(merged(base)) == 512
         self.assert_agrees(base, [(p, f"b{i}") for i, p in enumerate(new_pts)])
+
+
+class TestUpdateReferenceSetMatchesFormerLoop:
+    """The vectorized merge against the former per-point loop: the same
+    points, bit for bit, and the same tags in the same order."""
+
+    @staticmethod
+    def assert_matches(base, news):
+        front, oracle = merged(base), loop_merge([], base)
+        for new in news:
+            front = update_reference_set(front, new)
+            oracle = loop_merge(list(zip(*oracle)), new)
+            assert front.tags == oracle[1]
+            assert np.array_equal(front.points.view(np.uint64), oracle[0].view(np.uint64))
+
+    def test_random_fronts(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            base = [(p, f"a{i}") for i, p in enumerate(rng.random((6, 3)))]
+            news = [[(p, f"e{e}c{i}") for i, p in enumerate(rng.random((26, 3)))]
+                    for e in range(5)]
+            self.assert_matches(base, news)
+
+    def test_lattice_fronts(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            base = [(p, f"a{i}") for i, p in enumerate(rng.integers(0, 11, (8, 3)) / 10)]
+            news = [[(p, f"e{e}c{i}") for i, p in enumerate(rng.integers(0, 11, (10, 3)) / 10)]
+                    for e in range(4)]
+            news[1] += [(base[0][0].copy(), "dup_a0"), (news[0][0][0].copy(), "dup_e0c0")]
+            self.assert_matches(base, news)
+
+    def test_512_point_front(self):
+        rng = np.random.default_rng(23)
+        base_pts = rng.dirichlet(np.ones(3), 512)
+        base = [(p, f"a{i}") for i, p in enumerate(base_pts)]
+        news = [[(p, f"b{i}") for i, p in enumerate(
+            np.vstack([base_pts[rng.choice(512, 13)] * 0.99, rng.dirichlet(np.ones(3), 13)]))],
+            [(p, f"c{i}") for i, p in enumerate(base_pts[:5])]]
+        self.assert_matches(base, news)
 
 
 class TestMultiReference:

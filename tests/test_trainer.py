@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hvml import data, model, pareto, synth, trainer
-from hvml.errors import ConfigError, ParseError
+from hvml import cmaes, data, model, pareto, synth, trainer
+from hvml.errors import ConfigError, DimensionError, NumericError, ParseError
 from hvml.trainer import TrainConfig, emit_curves, evaluate, read_curves, train
 
 import seed_panel
@@ -109,11 +111,17 @@ class TestTrainLoop:
                 assert r.fitness == pytest.approx(expected, abs=1e-12)
 
     def test_one_forward_pass_per_candidate(self, toy_dataset, monkeypatch):
-        # train and validation rows are scored together; the other passes are
-        # the initial validation score and the test scores at the end
+        # train and validation rows are scored together, as one Features
+        # checked once; the other passes are the initial validation score and
+        # the test scores at the end, on plain matrices
         calls = []
         real = model.forward
-        monkeypatch.setattr(model, "forward", lambda p, x: calls.append(len(x)) or real(p, x))
+
+        def counting(p, x):
+            calls.append(x.matrix.shape[0] if isinstance(x, model.Features) else len(x))
+            return real(p, x)
+
+        monkeypatch.setattr(model, "forward", counting)
         cfg = tiny_config(epochs=3)
         res = train(toy_dataset, cfg)
         n_tr = len(toy_dataset.split.train)
@@ -162,6 +170,48 @@ class TestTrainLoop:
         ds = ds.with_split(bad)
         with pytest.raises(ConfigError):
             train(ds, tiny_config(epochs=1))
+
+
+class TestRefusedBeforeEpochOne:
+    """Bad settings and inputs are refused before the first population is
+    drawn."""
+
+    @pytest.fixture()
+    def sampled(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cmaes, "sample_population", lambda *args: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("key,value", [
+        ("embedding", 0), ("sigma", -0.1), ("lambda_pop", 1), ("mu", 0), ("c_cov", -0.1),
+        ("c_cov", 1.5)])
+    def test_config_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            tiny_config(**{key: value})
+
+    @pytest.mark.parametrize("mu", [8, 9])
+    def test_mu_must_be_below_lambda_pop(self, mu):
+        with pytest.raises(ConfigError, match="mu"):
+            tiny_config(mu=mu)
+
+    def test_boundary_values_accepted(self):
+        tiny_config(sigma=0.0, c_cov=0.0, lambda_pop=2, mu=1, embedding=1)
+        tiny_config(c_cov=1.0, lambda_pop=None, mu=None)
+
+    def test_non_finite_features(self, toy_dataset, sampled):
+        x = toy_dataset.x.copy()
+        x[toy_dataset.split.train[0], 1] = np.nan
+        with pytest.raises(NumericError):
+            train(replace(toy_dataset, x=x), tiny_config())
+        assert sampled == []
+
+    def test_resume_onto_dataset_of_another_width(self, toy_dataset, sampled):
+        state = trainer.initial_state(toy_dataset, tiny_config())
+        wide = replace(toy_dataset, x=np.hstack([toy_dataset.x, toy_dataset.x[:, :1]]),
+                       feature_kinds=toy_dataset.feature_kinds + toy_dataset.feature_kinds[:1])
+        with pytest.raises(DimensionError):
+            train(wide, tiny_config(), resume_state=state)
+        assert sampled == []
 
 
 class TestCurvesCsv:
