@@ -138,8 +138,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class Features:
     """A feature matrix checked once for a model shape: 2-D, ``shape.d``
     columns, finite. ``forward`` accepts one wherever it accepts a plain
-    matrix and then skips these checks, so the trainer pays them once per
-    run instead of once per candidate."""
+    matrix and then only compares its column count with the model's, so the
+    trainer pays the checks once per run instead of once per candidate."""
 
     __slots__ = ("matrix",)
 
