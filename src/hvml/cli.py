@@ -160,6 +160,11 @@ def cmd_train(args) -> int:
         raise ConfigError(f"resume: epochs {config.epochs} is below the checkpoint's "
                           f"epoch {resume_state.epoch}")
     dataset = _prepare_dataset(resolved["manifest"], config.seed)
+    if resume_state is not None and (dataset.d, dataset.k) != (resume_state.shape.d,
+                                                                resume_state.shape.k):
+        raise DimensionError(f"resume: the manifest has {dataset.d} features and {dataset.k} "
+                             f"labels, the checkpoint's model {resume_state.shape.d} and "
+                             f"{resume_state.shape.k}")
     state = resume_state if resume_state is not None else trainer.initial_state(dataset, config)
     # written only once the run is accepted, so a refused run leaves the
     # resolved config of the run already in --out as it was

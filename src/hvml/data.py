@@ -165,23 +165,20 @@ def _parse_attribute(line: str, path, lineno: int) -> tuple[str, object]:
     raise ParseError(f"unsupported attribute type {rest!r} for attribute {name!r}", path, lineno)
 
 
-def _split_data_line(line: str) -> list[str]:
-    return next(csv.reader([line], skipinitialspace=True))
-
-
 def load_arff(path, label_count: int, labels_at: str = "back", name: str | None = None) -> Dataset:
     """Load a Mulan/MEKA-style multi-label ARFF file.
 
     label_count attributes at the chosen end of the attribute list are the
     labels and must be {0,1}-valued. Dense and sparse ({index value, ...})
     data rows are both accepted; missing values ('?') are imputed to the
-    column mean (numeric) or mode (binary) and counted in ``imputed``.
+    column mean (numeric) or mode (binary) and counted in ``imputed``
+    (features only). A numeric cell that is not a finite number is refused.
     """
     if labels_at not in ("front", "back"):
         raise ConfigError(f"labels_at must be 'front' or 'back', got {labels_at!r}")
     path = Path(path)
     attrs: list[tuple[str, object]] = []
-    rows: list[np.ndarray] = []
+    rows: list[list[str]] = []
     relation = None
     in_data = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -189,8 +186,8 @@ def load_arff(path, label_count: int, labels_at: str = "back", name: str | None 
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
-            low = line.lower()
             if not in_data:
+                low = line.lower()
                 if low.startswith("@relation"):
                     parts = line.split(None, 1)
                     relation = parts[1].strip().strip("'\"") if len(parts) > 1 else "arff"
@@ -212,71 +209,62 @@ def load_arff(path, label_count: int, labels_at: str = "back", name: str | None 
         raise ParseError(
             f"label_count {label_count} invalid for {len(attrs)} attributes", path
         )
-    raw = np.vstack(rows)  # strings, '?' for missing
+    columns = list(zip(*rows))  # one tuple of cell strings per attribute, '?' for missing
     if labels_at == "back":
-        label_idx = list(range(len(attrs) - label_count, len(attrs)))
+        label_idx = range(len(attrs) - label_count, len(attrs))
     else:
-        label_idx = list(range(label_count))
-    feature_idx = [i for i in range(len(attrs)) if i not in set(label_idx)]
+        label_idx = range(label_count)
 
-    y = np.zeros((raw.shape[0], label_count), dtype=np.int8)
+    y = np.zeros((len(rows), label_count), dtype=np.int8)
     for out_col, col in enumerate(label_idx):
         attr_name, attr_type = attrs[col]
-        values = set(np.unique(raw[:, col])) - {"?"}
         if isinstance(attr_type, tuple) and not set(attr_type) <= {"0", "1"}:
             raise ParseError(f"label attribute {attr_name!r} is not {{0,1}}-valued: {sorted(attr_type)}", path)
-        if not values <= {"0", "1", "0.0", "1.0"}:
-            bad = sorted(values - {"0", "1", "0.0", "1.0"})
+        bad = sorted(set(columns[col]) - {"?", "0", "1", "0.0", "1.0"})
+        if bad:
             raise ParseError(f"label attribute {attr_name!r} has non-binary value {bad[0]!r}", path)
-        col_vals = raw[:, col]
-        missing = col_vals == "?"
-        numeric = np.where(missing, "0", col_vals).astype(float)
-        if missing.any():
-            mode = int(round(numeric[~missing].mean())) if (~missing).any() else 0
-            numeric[missing] = mode
-        y[:, out_col] = numeric.astype(np.int8)
+        y[:, out_col] = _column(columns[col], binary=True)[0]
 
-    x = np.zeros((raw.shape[0], len(feature_idx)))
+    feature_idx = [i for i in range(len(attrs)) if i not in label_idx]
+    x = np.zeros((len(rows), len(feature_idx)))
     kinds: list[str] = []
     imputed = 0
     for out_col, col in enumerate(feature_idx):
         attr_name, attr_type = attrs[col]
-        col_vals = raw[:, col]
-        missing = col_vals == "?"
-        imputed += int(missing.sum())
+        cells = columns[col]
         if isinstance(attr_type, tuple):
             if not set(attr_type) <= {"0", "1"}:
                 raise ParseError(
                     f"nominal feature {attr_name!r} is not binary: {sorted(attr_type)}", path
                 )
-            vals = np.where(missing, "0", col_vals).astype(float)
-            if missing.any():
-                mode = float(round(vals[~missing].mean())) if (~missing).any() else 0.0
-                vals[missing] = mode
-            if not np.isin(vals, (0.0, 1.0)).all():
+            try:
+                binary = {float(c) for c in set(cells) - {"?"}} <= {0.0, 1.0}
+            except ValueError:
+                binary = False
+            if not binary:
                 raise ParseError(f"binary feature {attr_name!r} has non-binary data", path)
+            x[:, out_col], n_missing = _column(cells, binary=True)
             kinds.append(BINARY)
         else:
             try:
-                vals = np.where(missing, "nan", col_vals).astype(float)
+                x[:, out_col], n_missing = _column(cells, binary=False)
             except ValueError:
                 raise ParseError(f"non-numeric value in numeric attribute {attr_name!r}", path) from None
-            if missing.any():
-                observed = vals[~missing]
-                vals[missing] = observed.mean() if observed.size else 0.0
+            if not np.isfinite(x[:, out_col]).all():
+                raise ParseError(f"non-finite value in numeric attribute {attr_name!r}", path)
             kinds.append(NUMERIC)
-        x[:, out_col] = vals
+        imputed += n_missing
     if imputed:
         logger.warning("%s: imputed %d missing feature values", path, imputed)
     return Dataset(x=x, y=y, feature_kinds=tuple(kinds),
                    name=name or relation or path.stem, imputed=imputed)
 
 
-def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> np.ndarray:
+def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> list[str]:
     if line.startswith("{"):
         if not line.endswith("}"):
             raise ParseError("unterminated sparse data row", path, lineno)
-        row = np.full(n_attrs, "0", dtype=object)
+        row = ["0"] * n_attrs
         body = line[1:-1].strip()
         if body:
             for item in body.split(","):
@@ -287,57 +275,68 @@ def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> np.ndarray:
                 if not 0 <= idx < n_attrs:
                     raise ParseError(f"sparse index {idx} out of range", path, lineno)
                 row[idx] = parts[1]
-        return row.astype(str)
-    cells = [c.strip() for c in _split_data_line(line)]
+        return row
+    cells = [c.strip() for c in next(csv.reader([line], skipinitialspace=True))]
     if len(cells) != n_attrs:
         raise ParseError(f"row has {len(cells)} values, expected {n_attrs}", path, lineno)
-    return np.array(cells, dtype=str)
+    return cells
+
+
+def _column(cells: tuple[str, ...], binary: bool) -> tuple[np.ndarray, int]:
+    """A column's cells as floats, and its count of '?' cells. Each '?' takes
+    the mean of the observed cells (0 when none is observed), rounded for a
+    {0,1} column. A cell that is not a number raises ValueError."""
+    if "?" not in cells:
+        return np.array(cells, dtype=float), 0
+    missing = np.array([c == "?" for c in cells])
+    vals = np.array([c if c != "?" else "nan" for c in cells], dtype=float)
+    observed = vals[~missing]
+    mean = observed.mean() if observed.size else 0.0
+    vals[missing] = round(mean) if binary else mean
+    return vals, int(missing.sum())
 
 
 # ---------------------------------------------------------------------------
 # CSV loading
 
-def _read_csv_matrix(path) -> tuple[np.ndarray, bool]:
+def _read_csv_matrix(path) -> np.ndarray:
     """Float matrix from a CSV file; a leading non-numeric row is treated as a
-    header. Returns (matrix, had_header)."""
+    header. A ragged row or a cell that is not a finite number raises
+    ParseError at its line."""
     path = Path(path)
-    rows: list[list[str]] = []
+    rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, cells in enumerate(csv.reader(fh), start=1):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            rows.append([c.strip() for c in cells])
+        reader = csv.reader(fh)
+        for cells in reader:
+            if any(c.strip() for c in cells):
+                rows.append((reader.line_num, [c.strip() for c in cells]))
     if not rows:
         raise ParseError("empty file", path)
-
-    def parse(cells):
-        return [float(c) for c in cells]
-
-    had_header = False
     try:
-        parse(rows[0])
+        [float(c) for c in rows[0][1]]
     except ValueError:
-        had_header = True
-        rows = rows[1:]
+        rows = rows[1:]  # a header
     if not rows:
         raise ParseError("no data rows (header only)", path)
-    width = len(rows[0])
+    width = len(rows[0][1])
     data = np.empty((len(rows), width))
-    for i, cells in enumerate(rows):
+    for i, (lineno, cells) in enumerate(rows):
         if len(cells) != width:
-            raise ParseError(f"ragged row: {len(cells)} values, expected {width}",
-                             path, i + 1 + int(had_header))
+            raise ParseError(f"ragged row: {len(cells)} values, expected {width}", path, lineno)
         try:
-            data[i] = parse(cells)
+            data[i] = [float(c) for c in cells]
         except ValueError as exc:
-            raise ParseError(str(exc), path, i + 1 + int(had_header)) from None
-    return data, had_header
+            raise ParseError(str(exc), path, lineno) from None
+        finite = np.isfinite(data[i])
+        if not finite.all():
+            raise ParseError(f"non-finite value {cells[int(np.argmin(finite))]!r}", path, lineno)
+    return data
 
 
 def load_csv(features_path, labels_path, name: str | None = None) -> Dataset:
     """Load a dataset from paired CSV files (one row per sample in each)."""
-    x, _ = _read_csv_matrix(features_path)
-    y, _ = _read_csv_matrix(labels_path)
+    x = _read_csv_matrix(features_path)
+    y = _read_csv_matrix(labels_path)
     if x.shape[0] != y.shape[0]:
         raise ParseError(
             f"row count mismatch: {x.shape[0]} feature rows vs {y.shape[0]} label rows",

@@ -271,17 +271,6 @@ def calibration_export(scores, truth, bins_hist: int = 50, bins_cal: int = 10,
     return hist_rows, cal_rows
 
 
-def write_calibration_csv(hist_rows, cal_rows, hist_path, cal_path) -> None:
-    with open(hist_path, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,count_correct,count_incorrect\n")
-        for lo, hi, c, i in hist_rows:
-            fh.write(f"{lo:.6g},{hi:.6g},{c},{i}\n")
-    with open(cal_path, "w", encoding="utf-8") as fh:
-        fh.write("bin_lo,bin_hi,count,mean_score,positive_rate\n")
-        for lo, hi, n, ms, pr in cal_rows:
-            fh.write(f"{lo:.6g},{hi:.6g},{n},{ms:.17g},{pr:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # full report
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,11 +183,14 @@ def train(dataset: Dataset, config: TrainConfig,
           resume_state: TrainState | None = None) -> TrainResult:
     """Run the optimization loop from ``resume_state`` (a loaded checkpoint
     or ``initial_state``'s result; built here when None) and return
-    incumbents, archives, and curves. The stacked features and each split's
-    labels are checked once, before epoch 1."""
+    incumbents, archives, and curves. The loop works on a copy, so the given
+    state is left as it was. The stacked features and each split's labels
+    are checked once, before epoch 1."""
     if dataset.split is None:
         raise ConfigError("dataset must be split before training")
     state = resume_state if resume_state is not None else initial_state(dataset, config)
+    state = replace(state, best_per_loss=dict(state.best_per_loss), curves=list(state.curves),
+                    archive_hv=list(state.archive_hv))
     x_tr, y_tr = dataset.rows("train")
     x_va, y_va = dataset.rows("validation")
     features = model.Features(np.concatenate([x_tr, x_va]), state.shape)
@@ -247,9 +250,8 @@ def train(dataset: Dataset, config: TrainConfig,
     return TrainResult(
         config=config, shape=state.shape,
         final=state.incumbent, final_test=final_test, final_test_bce=final_test_bce,
-        best_per_loss=dict(state.best_per_loss), best_per_loss_test=best_test,
-        archive=state.archive,
-        curves=list(state.curves), archive_hv=list(state.archive_hv),
+        best_per_loss=state.best_per_loss, best_per_loss_test=best_test,
+        archive=state.archive, curves=state.curves, archive_hv=state.archive_hv,
         epochs_run=state.epoch, state=state,
     )
 

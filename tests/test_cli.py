@@ -52,8 +52,13 @@ class TestStats:
         (json.dumps({"arff_path": "d.arff", "label_count": "two"}), ARFF, "m.json: "),
         (json.dumps({"arff_path": "d.arff", "label_count": 2, "labels_at": "middle"}), ARFF,
          "m.json: "),
+        (ARFF_MANIFEST, ARFF.replace("f2 numeric", "f2 {0,1}").replace("0.2,", "x,"),
+         "d.arff: binary feature 'f2'"),
+        (ARFF_MANIFEST, ARFF.replace("0.2,", "inf,"), "d.arff: non-finite value in numeric "
+                                                      "attribute 'f2'"),
     ], ids=["manifest-list", "attribute-without-name", "sparse-index-not-int",
-            "label-count-not-int", "labels-at-neither-end"])
+            "label-count-not-int", "labels-at-neither-end", "binary-feature-not-a-number",
+            "numeric-cell-not-finite"])
     def test_malformed_dataset_input_exits_2(self, tmp_path, capsys, manifest, arff, where):
         (tmp_path / "m.json").write_text(manifest)
         (tmp_path / "d.arff").write_text(arff)
@@ -424,6 +429,27 @@ class TestTrain:
                         "--out", tmp_path / "resumed"]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError" and "curves.csv" in err["message"]
+
+    @pytest.mark.parametrize("widen", ["x.csv", "y.csv"])
+    def test_resume_onto_manifest_of_another_width_keeps_resolved_config(
+            self, toy_manifest, tmp_path, capsys, widen):
+        args = ["train", "--seed", 5, "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
+        out = tmp_path / "two"
+        assert run_cli(args + ["--manifest", toy_manifest, "--epochs", 2, "--out", out]) == 0
+        before = (out / "resolved_config.json").read_bytes()
+        lines = (tmp_path / widen).read_text().splitlines()
+        (tmp_path / ("wide_" + widen)).write_text("".join(f"{r},{r.split(',')[0]}\n"
+                                                          for r in lines))
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"name": "wide", "csv_paths": [
+            "wide_x.csv" if widen == "x.csv" else "x.csv",
+            "wide_y.csv" if widen == "y.csv" else "y.csv"]}))
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", wide, "--resume", out, "--epochs", 3,
+                        "--out", out]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "DimensionError" and "resume" in err["message"]
+        assert (out / "resolved_config.json").read_bytes() == before
 
     def test_checkpoint_with_removed_options_exits_2(self, toy_manifest, tmp_path, capsys):
         # checkpoints that still record the removed optimizer variants

@@ -158,6 +158,72 @@ red,1
         with pytest.raises(ParseError, match="color"):
             load_arff(write_toy_arff(tmp_path, text), label_count=1)
 
+    def test_non_numeric_binary_feature_names_file_and_attribute(self, tmp_path):
+        path = write_toy_arff(tmp_path, TOY_ARFF.replace("2.0,4.0,1,0,1", "2.0,4.0,x,0,1"))
+        with pytest.raises(ParseError, match="binary feature 'flag'") as err:
+            load_arff(path, label_count=2)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_numeric_cell_names_file_and_attribute(self, tmp_path, cell):
+        path = write_toy_arff(tmp_path, TOY_ARFF.replace("2.0,4.0,1,0,1", f"2.0,{cell},1,0,1"))
+        with pytest.raises(ParseError, match="non-finite value in numeric attribute 'feat2'") as err:
+            load_arff(path, label_count=2)
+        assert str(path) in str(err.value)
+
+
+class TestArffRoundTrip:
+    """Random feature and label matrices written as ARFF (17 significant
+    digits, some '?' cells, dense and sparse rows, labels at either end) load
+    back bit for bit, with each '?' imputed by its column's rule."""
+
+    @staticmethod
+    def _write(path, x, y, binary, x_missing, y_missing, labels_at, rng):
+        def cell(v, is_binary, missing):
+            return "?" if missing else str(int(v)) if is_binary else f"{v:.17g}"
+
+        feats = [f"@attribute f{j} {'{0,1}' if b else 'numeric'}" for j, b in enumerate(binary)]
+        labels = [f"@attribute l{j} {{0,1}}" for j in range(y.shape[1])]
+        lines = ["@relation rt", *(labels + feats if labels_at == "front" else feats + labels),
+                 "@data"]
+        for i in range(x.shape[0]):
+            xc = [cell(x[i, j], binary[j], x_missing[i, j]) for j in range(x.shape[1])]
+            yc = [cell(y[i, j], True, y_missing[i, j]) for j in range(y.shape[1])]
+            cells = yc + xc if labels_at == "front" else xc + yc
+            if rng.random() < 0.5:
+                lines.append(", ".join(cells))
+            else:
+                lines.append("{" + ", ".join(f"{j} {c}" for j, c in enumerate(cells)
+                                             if c != "0") + "}")
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_loads_back_bit_for_bit(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, d, k = int(rng.integers(2, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        binary = rng.random(d) < 0.4
+        x = np.where(binary, rng.integers(0, 2, (n, d)),
+                     rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 6, d))
+        y = rng.integers(0, 2, (n, k))
+        x_missing, y_missing = rng.random((n, d)) < 0.15, rng.random((n, k)) < 0.15
+        labels_at = ("front", "back")[seed % 2]
+        path = tmp_path / "rt.arff"
+        self._write(path, x, y, binary, x_missing, y_missing, labels_at, rng)
+
+        want_x, want_y = x.astype(float), y.astype(float)
+        for want, missing, rounded in ((want_x, x_missing, binary),
+                                       (want_y, y_missing, np.ones(k, dtype=bool))):
+            for j in range(want.shape[1]):
+                observed = want[~missing[:, j], j]
+                mean = observed.mean() if observed.size else 0.0
+                want[missing[:, j], j] = round(mean) if rounded[j] else mean
+        ds = load_arff(path, label_count=k, labels_at=labels_at)
+        assert ds.x.tobytes() == want_x.tobytes()
+        assert ds.y.tolist() == want_y.astype(int).tolist()
+        assert ds.feature_kinds == tuple("binary" if b else "numeric" for b in binary)
+        assert ds.imputed == int(x_missing.sum())
+        assert ds.name == "rt"
+
 
 class TestCsv:
     def test_basic_pair(self, tmp_path):
@@ -195,6 +261,14 @@ class TestCsv:
         (tmp_path / "y.csv").write_text("2\n")
         with pytest.raises(ParseError, match="0/1"):
             load_csv(tmp_path / "x.csv", tmp_path / "y.csv")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, cell):
+        (tmp_path / "x.csv").write_text(f"f1,f2\n1,2\n\n3,{cell}\n")
+        (tmp_path / "y.csv").write_text("1\n0\n")
+        with pytest.raises(ParseError, match="non-finite value") as err:
+            load_csv(tmp_path / "x.csv", tmp_path / "y.csv")
+        assert f"{tmp_path / 'x.csv'}:4: " in str(err.value)
 
     def test_round_trip(self, tmp_path):
         ds = synth.linear_multilabel(n=40, d=6, k=3, seed=5)

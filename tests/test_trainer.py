@@ -269,6 +269,22 @@ class TestCheckpoint:
         assert resumed.final.validation == full.final.validation
         assert resumed.archive.tags == full.archive.tags
 
+    def test_train_leaves_the_given_state_as_it_was(self, toy_dataset):
+        def snapshot(s):
+            return (s.epoch, len(s.curves), list(s.archive_hv), s.archive.tags,
+                    s.cma.mean.tobytes(), s.cma.cov_steps.shape, s.incumbent.epoch,
+                    {key: (inc.epoch, inc.candidate) for key, inc in s.best_per_loss.items()})
+
+        state = trainer.initial_state(toy_dataset, tiny_config())
+        before = snapshot(state)
+        a = train(toy_dataset, tiny_config(), resume_state=state)
+        b = train(toy_dataset, tiny_config(), resume_state=state)
+        assert snapshot(state) == before
+        assert a.epochs_run == b.epochs_run == 3
+        assert np.array_equal(a.final.params.flat, b.final.params.flat)
+        assert a.curves == b.curves and a.archive_hv == b.archive_hv
+        assert a.archive.tags == b.archive.tags
+
     @staticmethod
     def _rewrite_state(path, edit):
         with np.load(path / trainer.STATE_FILE) as blob:
