@@ -39,11 +39,8 @@ _INPUT_ERRORS = (ParseError, DimensionError, FileNotFoundError, IsADirectoryErro
 _PRECONDITION_ERRORS = (ConfigError, GridError, UndefinedMetricError, ValueError)
 _NUMERIC_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
 
-_TRAIN_FIELDS = tuple(f.name for f in fields(trainer.TrainConfig))
-# what train and sweep resolve: the dataset manifest and every TrainConfig field
-_CONFIG_KEYS = ("manifest", *_TRAIN_FIELDS)
-# the type each such key and sweep's c_list must have in a --config file
-_KEY_TYPES = {**typing.get_type_hints(trainer.TrainConfig), "manifest": str, "c_list": list[int]}
+# each key train and sweep resolve, with its --config type: manifest and the TrainConfig fields
+_RUN_TYPES = {"manifest": str, **trainer.FIELD_TYPES}
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -51,47 +48,22 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
-def _load_config_file(path, allowed: tuple[str, ...]) -> dict:
-    if path is None:
-        return {}
-    path = _expand_path(path)
-    try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config file is not valid JSON: {exc}", path) from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ParseError(f"unknown config key(s) {', '.join(unknown)}", path)
-    for key, value in cfg.items():
-        hint = _KEY_TYPES.get(key)
-        if hint is not None and not _fits(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
-            raise ParseError(f"config key {key} must be {name}, got {value!r}", path)
-    return cfg
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field type: a bool is not an int, an int is
-    a float, None fits only an optional field and a list only a list type."""
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
-    if hint is float:
-        return _fits(value, int) or isinstance(value, float)
-    if isinstance(hint, type):
-        return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-    return any(_fits(value, h) for h in typing.get_args(hint))   # an optional type
-
-
-def _resolve(args, keys: tuple[str, ...], base: dict | None = None) -> dict:
+def _resolve(args, types: dict, base: dict | None = None) -> dict:
     """Merge a run's configuration layers, later ones winning: ``base`` (a
     resumed checkpoint's config), the --config file, then the flags given.
-    The file may hold ``keys`` and ``command``, which every command records.
-    A manifest is required; a run left without a seed gets a fresh one."""
-    file_cfg = _load_config_file(args.config, (*keys, "command"))
+    The file may hold the keys of ``types``, each of its type, and
+    ``command``, which every command records. A manifest is required; a run
+    left without a seed gets a fresh one."""
+    file_cfg = {}
+    if args.config is not None:
+        path = _expand_path(args.config)
+        try:
+            file_cfg = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config file is not valid JSON: {exc}", path) from None
+        trainer.check_json(file_cfg, path, {**types, "command": str})
     resolved = dict(base or {})
-    for key in keys:
+    for key in types:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -132,7 +104,7 @@ def _prepare_dataset(manifest_path, seed: int) -> data.Dataset:
 
 
 def _train_config(resolved: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(**{k: v for k, v in resolved.items() if k in _TRAIN_FIELDS})
+    return trainer.TrainConfig(**{k: v for k, v in resolved.items() if k in trainer.FIELD_TYPES})
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +122,7 @@ def cmd_train(args) -> int:
             raise ParseError(f"holds {len(resume_state.curves)} candidate records, the "
                              f"checkpoint needs {resume_state.epoch} x "
                              f"{resume_state.cma.lambda_pop}", curves_path)
-    resolved = _resolve(args, _CONFIG_KEYS, base=saved)
+    resolved = _resolve(args, _RUN_TYPES, base=saved)
     for key, value in saved.items():
         if key != "epochs" and resolved[key] != value:
             raise ConfigError(f"resume: {key} is {value!r} in the checkpoint, {resolved[key]!r} "
@@ -278,7 +250,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    resolved = _resolve(args, (*_CONFIG_KEYS, "c_list"))
+    resolved = _resolve(args, {**_RUN_TYPES, "c_list": list[int]})
     if "embedding" in resolved:
         raise ConfigError("sweep takes its embedding dimensions from c_list, not embedding")
     c_values = resolved.get("c_list")
@@ -343,21 +315,18 @@ def _add_out(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, embedding: bool = True) -> None:
-    """The flags of train and sweep: one per _CONFIG_KEYS entry, except
-    embedding for sweep (it takes --c-list instead)."""
+    """The flags of train and sweep: --config, --out, --manifest and one per
+    TrainConfig field, of the field's type, except --embedding for sweep (it
+    takes --c-list instead)."""
     p.add_argument("--config", help="JSON config file; flags override its values")
     _add_out(p)
     p.add_argument("--manifest", help="dataset manifest JSON")
-    p.add_argument("--seed", type=int, help="root seed (auto-generated and recorded if absent)")
-    p.add_argument("--epochs", type=int)
-    if embedding:
-        p.add_argument("--embedding", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--lambda-pop", type=int)
-    p.add_argument("--mu", type=int)
-    p.add_argument("--c-cov", type=float)
-    p.add_argument("--archive-cap", type=int)
+    for f in fields(trainer.TrainConfig):
+        if embedding or f.name != "embedding":
+            hint = trainer.FIELD_TYPES[f.name]
+            p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"],
+                           type=next(t for t in (*typing.get_args(hint), hint)
+                                     if t is not type(None)))
 
 
 def _int_list(text: str) -> list[int]:

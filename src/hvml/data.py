@@ -276,7 +276,9 @@ def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> list[str]:
                     raise ParseError(f"sparse index {idx} out of range", path, lineno)
                 row[idx] = parts[1]
         return row
-    cells = [c.strip() for c in next(csv.reader([line], skipinitialspace=True))]
+    # only a quoted cell needs the csv quoting rules
+    cells = next(csv.reader([line], skipinitialspace=True)) if '"' in line else line.split(",")
+    cells = [c.strip() for c in cells]
     if len(cells) != n_attrs:
         raise ParseError(f"row has {len(cells)} values, expected {n_attrs}", path, lineno)
     return cells

@@ -64,10 +64,10 @@ class Front:
         p = self.points
         if p.size and ((p < 0).any() or (p > 1).any()):
             raise ValueError("front components must lie in [0, 1]")
-        for i in range(len(p)):
-            for j in range(len(p)):
-                if i != j and dominates(p[i], p[j]):
-                    raise ValueError(f"front is not mutually non-dominating: {self.tags[i]} dominates {self.tags[j]}")
+        # [i, j]: row i dominates row j (row i <= row j, and the rows differ)
+        i, j = np.nonzero(_weakly_covered(p).T & (p[:, None, :] != p[None, :, :]).any(axis=2))
+        if i.size:
+            raise ValueError(f"front is not mutually non-dominating: {self.tags[i[0]]} dominates {self.tags[j[0]]}")
         return self
 
     def __len__(self) -> int:
@@ -75,6 +75,11 @@ class Front:
 
     def __iter__(self):
         return iter(zip(self.points, self.tags))
+
+
+def _weakly_covered(pts: np.ndarray) -> np.ndarray:
+    """[i, j]: row j is <= row i in every component, for i != j."""
+    return (pts[None, :, :] <= pts[:, None, :]).all(axis=2) & ~np.eye(len(pts), dtype=bool)
 
 
 def _points_tags(front) -> tuple[np.ndarray, list[str]]:
@@ -214,9 +219,7 @@ def exact_contributions(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
     for rows, xs, ys, height in _slabs(pts, ref):
         total += _slab_area(xs, ys, ref) * height
         contribs[rows] += _exclusive_areas(xs, ys, ref) * height
-    covered = (pts[None, :, :] <= pts[:, None, :]).all(axis=2)   # [i, j]: row j <= row i
-    np.fill_diagonal(covered, False)
-    contribs[covered.any(axis=1) | ~(pts < ref).all(axis=1)] = 0.0
+    contribs[_weakly_covered(pts).any(axis=1) | ~(pts < ref).all(axis=1)] = 0.0
     return total, contribs
 
 

@@ -3,8 +3,7 @@
 A results table holds one loss triple per (dataset, method) cell, loaded
 from CSV. The module derives per-cell geometric means and per-method
 medians, per-dataset hypervolume contributions, Friedman statistics with
-midrank ties, and the Bonferroni-Dunn critical difference; it also exports
-score-distribution histograms and calibration-curve data.
+midrank ties, and the Bonferroni-Dunn critical difference.
 
 Published tables sometimes carry an aggregate column computed from unrounded
 losses; when the input CSV provides a ``geometric_mean`` column its values
@@ -232,43 +231,6 @@ def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 
                  "dataset (df = methods - 1); tables whose critical value matches "
                  "df = datasets - 1 ranked datasets within each method"),
     }
-
-
-# ---------------------------------------------------------------------------
-# calibration and score-distribution exports
-
-def calibration_export(scores, truth, bins_hist: int = 50, bins_cal: int = 10,
-                       threshold: float = 0.5):
-    """Histogram and calibration data for predicted label probabilities.
-
-    Returns (hist_rows, cal_rows): hist_rows are (bin_lo, bin_hi,
-    count_correct, count_incorrect) over bins_hist equal-width bins, where
-    correct means the thresholded prediction matches the truth; cal_rows are
-    (bin_lo, bin_hi, count, mean_score, positive_rate) over bins_cal
-    equal-width bins, occupied bins only.
-    """
-    if bins_hist < 1 or bins_cal < 1:
-        raise ValueError("bin counts must be >= 1")
-    s = np.asarray(scores, dtype=float).ravel()
-    t = np.asarray(truth, dtype=float).ravel()
-    if s.shape != t.shape:
-        raise ValueError(f"scores and truth sizes differ: {s.shape} vs {t.shape}")
-    correct = (s >= threshold) == (t > 0.5)
-    edges_h = np.linspace(0.0, 1.0, bins_hist + 1)
-    hist_c, _ = np.histogram(s[correct], bins=edges_h)
-    hist_i, _ = np.histogram(s[~correct], bins=edges_h)
-    hist_rows = [(edges_h[b], edges_h[b + 1], int(hist_c[b]), int(hist_i[b]))
-                 for b in range(bins_hist)]
-
-    idx = np.minimum((s * bins_cal).astype(int), bins_cal - 1)
-    cal_rows = []
-    for b in range(bins_cal):
-        mask = idx == b
-        if not mask.any():
-            continue
-        cal_rows.append((b / bins_cal, (b + 1) / bins_cal, int(mask.sum()),
-                         float(s[mask].mean()), float(t[mask].mean())))
-    return hist_rows, cal_rows
 
 
 # ---------------------------------------------------------------------------

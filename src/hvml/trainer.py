@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,41 +43,71 @@ META_FILE = "checkpoint.json"
 CURVES_HEADER = ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness"]
 
 
+def _setting(default, help: str, low=None):
+    """A TrainConfig field: its default, its flag help and its lowest usable value."""
+    return field(default=default, metadata={"help": help, "low": low})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 750
-    embedding: int = 20
-    seed: int = 0
-    threshold: float = 0.5
-    sigma: float = 0.3
-    lambda_pop: int | None = None
-    mu: int | None = None
-    c_cov: float | None = None
-    archive_cap: int = 512
+    """The settings of a training run, in one table: per field its type (the annotation),
+    default, flag help and lowest usable value. The CLI flags and ``check_json`` derive from it."""
+
+    epochs: int = _setting(750, "epochs to train in total", low=0)
+    embedding: int = _setting(20, "embedding dimension C", low=1)
+    seed: int = _setting(0, "root seed (auto-generated and recorded if absent)")
+    threshold: float = _setting(0.5, "decision threshold of the losses, in (0, 1)")
+    sigma: float = _setting(0.3, "initial step size of the search", low=0)
+    lambda_pop: int | None = _setting(None, "population size (default from L)", low=2)
+    mu: int | None = _setting(None, "parents per generation, below the population size", low=1)
+    c_cov: float | None = _setting(None, "covariance learning rate in [0, 1]", low=0)
+    archive_cap: int = _setting(512, "most points the validation archive keeps", low=1)
 
     def __post_init__(self):
         """Refuse every value that no run could use, so a run is refused
         before it writes anything; ``mu`` against a default population size
         needs the parameter count and is checked by ``initial_state``."""
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.embedding < 1:
-            raise ConfigError(f"embedding must be >= 1, got {self.embedding}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
-        if self.lambda_pop is not None and self.lambda_pop < 2:
-            raise ConfigError(f"lambda_pop must be >= 2, got {self.lambda_pop}")
-        if self.mu is not None and self.mu < 1:
-            raise ConfigError(f"mu must be >= 1, got {self.mu}")
+        for f in fields(self):
+            low, value = f.metadata["low"], getattr(self, f.name)
+            if low is not None and value is not None and value < low:
+                raise ConfigError(f"{f.name} must be >= {low}, got {value}")
         if self.mu is not None and self.lambda_pop is not None and self.mu >= self.lambda_pop:
             raise ConfigError(f"mu must be below lambda_pop, got mu={self.mu} "
                               f"lambda_pop={self.lambda_pop}")
-        if self.c_cov is not None and not 0.0 <= self.c_cov <= 1.0:
+        if self.c_cov is not None and self.c_cov > 1.0:
             raise ConfigError(f"c_cov must lie in [0, 1], got {self.c_cov}")
-        if self.archive_cap < 1:
-            raise ConfigError(f"archive_cap must be >= 1, got {self.archive_cap}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
+
+
+FIELD_TYPES = typing.get_type_hints(TrainConfig)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: a bool is not an int, an int is
+    a float, None fits only an optional field and a list only a list type."""
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if not isinstance(hint, type):
+        return any(_fits(value, h) for h in typing.get_args(hint))   # an optional type
+    fits = isinstance(value, (int, float) if hint is float else hint)
+    return fits and (hint is bool or not isinstance(value, bool))
+
+
+def check_json(values: dict, path, types: dict = FIELD_TYPES) -> None:
+    """Refuse, as ``ParseError`` naming the JSON file ``path`` and the key, a
+    config that holds a key not in ``types`` (by default the TrainConfig
+    fields) or a value that does not fit its key's type."""
+    if not isinstance(values, dict):
+        raise ParseError("config must be a JSON object", path)
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ParseError(f"unknown config key(s) {', '.join(unknown)}", path)
+    for key, value in values.items():
+        hint = types[key]
+        if not _fits(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ParseError(f"config key {key} must be {name}, got {value!r}", path)
 
 
 @dataclass
@@ -357,6 +388,7 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
     meta_path = out / META_FILE
     try:
         meta = json.loads(meta_path.read_text())
+        check_json(meta["config"], meta_path)
         config = TrainConfig(**meta["config"])
         shape = model.ModelShape(*meta["shape"])
         epoch = int(meta["epoch"])

@@ -191,6 +191,17 @@ def loop_merge(pairs, new_pairs):
     return np.array([q for q, _ in cur], dtype=float).reshape(-1, 3), tuple(t for _, t in cur)
 
 
+def first_dominating_pair(pairs):
+    """The tags (a, b) of the first pair, in row-major order over the rows,
+    where row a dominates row b (the package's former ``Front.validate``
+    double loop over ``dominates``), or None."""
+    for a, ta in pairs:
+        for b, tb in pairs:
+            if np.all(np.asarray(a) <= b) and np.any(np.asarray(a) < b):
+                return str(ta), str(tb)
+    return None
+
+
 def mc_box_union_volume(los, his, n_samples=200_000, seed=0):
     """Monte Carlo volume of a union of boxes inside [0,1]^3."""
     rng = np.random.default_rng(seed)

@@ -556,6 +556,34 @@ class TestTrain:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError" and "checkpoint.json" in err["message"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("epochs", 2.0), ("seed", 3.7), ("archive_cap", 1.5), ("embedding", True)])
+    def test_checkpoint_value_of_wrong_type_exits_2(self, toy_manifest, tmp_path, capsys,
+                                                    key, value):
+        # the type rule of a --config file holds for a checkpoint's config too
+        out = tmp_path / "two"
+        assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
+                        "--embedding", 3, "--lambda-pop", 8, "--mu", 3, "--out", out]) == 0
+        meta = json.loads((out / "checkpoint.json").read_text())
+        meta["config"][key] = value
+        (out / "checkpoint.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out,
+                        "--out", tmp_path / "resumed"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "checkpoint.json" in err["message"] and key in err["message"]
+        assert not (tmp_path / "resumed").exists()
+
+    def test_config_file_not_an_object_exits_2(self, toy_manifest, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert run_cli(["train", "--config", cfg, "--manifest", toy_manifest,
+                        "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and "list.json" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config_file_exits_2(self, toy_manifest, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{bad")

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -171,6 +172,19 @@ red,1
             load_arff(path, label_count=2)
         assert str(path) in str(err.value)
 
+
+    @pytest.mark.parametrize("line", [
+        "1.0,2.0,0,1,0", "1.0, 2.0 ,0,  1,0", "1.0,,0,1,", ",,,,", "1.0,'a b',0,1,0",
+        "1.0,'a,b',0,1", "it's,2.0,0,1,0", '1.0,"a,b",0,1,0', '1.0, "a, b" ,0,1,0',
+        '"x""y",2.0,0,1,0', "1.0\t,\t2.0,0,1,0",
+    ])
+    def test_dense_cells_equal_the_csv_reader_cells(self, line):
+        expect = [c.strip() for c in next(csv.reader([line], skipinitialspace=True))]
+        if len(expect) == 5:
+            assert data._parse_arff_row(line, 5, "f.arff", 1) == expect
+        else:
+            with pytest.raises(ParseError, match=f"row has {len(expect)} values"):
+                data._parse_arff_row(line, 5, "f.arff", 1)
 
 class TestArffRoundTrip:
     """Random feature and label matrices written as ARFF (17 significant

@@ -6,8 +6,8 @@ from hvml.pareto import (Front, dominates, exact_contribution, exact_contributio
                          exact_hypervolume, hv_decomposition, mc_contribution,
                          update_reference_set)
 
-from oracles import (grid_hv, iex_hv, leave_one_out_contribution, loop_merge,
-                     nondominated_filter, slab_hv, tagged)
+from oracles import (first_dominating_pair, grid_hv, iex_hv, leave_one_out_contribution,
+                     loop_merge, nondominated_filter, slab_hv, tagged)
 
 EMPTY = Front(np.empty((0, 3)), ())
 
@@ -70,6 +70,22 @@ class TestNondominatedFilter:
     def test_front_validate(self):
         with pytest.raises(ValueError):
             Front(np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]), ("a", "b")).validate()
+
+    def test_front_validate_names_the_first_dominating_pair(self):
+        # grid points give duplicates (never a dominance) and ties in some
+        # components; a nan row dominates nothing and nothing dominates it
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            pts = rng.integers(0, 4, size=(rng.integers(0, 10), 3)) / 4.0
+            if len(pts) and rng.random() < 0.2:
+                pts[rng.integers(len(pts))] = np.nan
+            pair = first_dominating_pair(tagged(pts))
+            front = Front(pts, tuple(str(i) for i in range(len(pts))))
+            if pair is None:
+                assert front.validate() is front
+            else:
+                with pytest.raises(ValueError, match=f": {pair[0]} dominates {pair[1]}$"):
+                    front.validate()
 
 
 class TestExactHypervolume:

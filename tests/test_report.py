@@ -4,10 +4,9 @@ import pytest
 from hvml import benchmark_results_path, quantiles, report
 from hvml.errors import GridError, ParseError
 from hvml.quantiles import chi2_quantile, normal_quantile
-from hvml.report import (ResultsTable, calibration_export, contribution_table,
-                         critical_difference, friedman_both_orientations,
-                         friedman_statistic, geometric_means, method_medians,
-                         midranks, rank_summary)
+from hvml.report import (ResultsTable, contribution_table, critical_difference,
+                         friedman_both_orientations, friedman_statistic, geometric_means,
+                         method_medians, midranks, rank_summary)
 
 TABLE1_MEDIANS = {"CLML": 0.240, "DELA": 0.254, "CLIF": 0.269, "MLKNN": 0.249,
                   "C2AE": 0.394, "GNB-CC": 0.415, "GNB-BR": 0.481}
@@ -202,42 +201,6 @@ class TestQuantiles:
     def test_chi2_tabled_values(self):
         assert chi2_quantile(0.95, 6) == pytest.approx(12.5916, abs=1e-3)
         assert chi2_quantile(0.95, 8) == pytest.approx(15.5073, abs=1e-3)
-
-
-class TestCalibration:
-    def test_calibrated_synthetic_scores(self):
-        rng = np.random.default_rng(12)
-        p = rng.random(100_000)
-        y = (rng.random(100_000) < p).astype(int)
-        _, cal = calibration_export(p, y, bins_hist=50, bins_cal=10)
-        worst = max(abs(mean_score - pos_rate) for _, _, _, mean_score, pos_rate in cal)
-        assert worst <= 0.02
-
-    def test_all_confident_and_correct(self):
-        hist, cal = calibration_export(np.ones(10), np.ones(10), bins_hist=50, bins_cal=10)
-        assert len(cal) == 1
-        _, _, count, mean_score, pos_rate = cal[0]
-        assert count == 10 and mean_score == 1.0 and pos_rate == 1.0
-        assert sum(c for _, _, c, _ in hist) == 10  # all in the correct histogram
-
-    def test_single_bin_is_global_average(self):
-        rng = np.random.default_rng(3)
-        s = rng.random(1000)
-        y = (rng.random(1000) < 0.4).astype(int)
-        _, cal = calibration_export(s, y, bins_hist=5, bins_cal=1)
-        assert len(cal) == 1
-        _, _, count, mean_score, pos_rate = cal[0]
-        assert count == 1000
-        assert mean_score == pytest.approx(s.mean())
-        assert pos_rate == pytest.approx(y.mean())
-
-    def test_histogram_splits_correct_incorrect(self):
-        scores = np.array([0.9, 0.1, 0.9, 0.1])
-        truth = np.array([1, 0, 0, 1])  # first two correct, last two wrong
-        hist, _ = calibration_export(scores, truth, bins_hist=2, bins_cal=2)
-        low, high = hist
-        assert low[2] == 1 and low[3] == 1
-        assert high[2] == 1 and high[3] == 1
 
 
 class TestWriteReport:
