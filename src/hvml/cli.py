@@ -113,15 +113,8 @@ def _train_config(resolved: dict) -> trainer.TrainConfig:
 def cmd_train(args) -> int:
     resume_state, saved = None, {}
     if args.resume:
-        resume_dir = _expand_path(args.resume)
-        resume_state, saved_cfg = trainer.load_checkpoint(resume_dir)
+        resume_state, saved_cfg = trainer.load_checkpoint(_expand_path(args.resume))
         saved = asdict(saved_cfg)
-        curves_path = resume_dir / "curves.csv"
-        resume_state.curves = trainer.read_curves(curves_path)
-        if len(resume_state.curves) != resume_state.epoch * resume_state.cma.lambda_pop:
-            raise ParseError(f"holds {len(resume_state.curves)} candidate records, the "
-                             f"checkpoint needs {resume_state.epoch} x "
-                             f"{resume_state.cma.lambda_pop}", curves_path)
     resolved = _resolve(args, _RUN_TYPES, base=saved)
     for key, value in saved.items():
         if key != "epochs" and resolved[key] != value:

@@ -140,30 +140,19 @@ def ranked_steps(state: CmaState, top_params: np.ndarray) -> np.ndarray:
     return (top - state.mean) / state.sigma
 
 
-def update_mean(state: CmaState, steps: np.ndarray) -> np.ndarray:
-    """m' = m + sigma * sum_i w_i y_i."""
-    steps = np.atleast_2d(np.asarray(steps, dtype=float))
-    if steps.shape[0] < state.mu:
-        raise ValueError(f"need at least mu={state.mu} ranked steps, got {steps.shape[0]}")
-    v = state.weights @ steps[: state.mu]
-    return state.mean + state.sigma * v
-
-
-def update_covariance(state: CmaState, steps: np.ndarray) -> np.ndarray:
-    """C' = (1 - c_cov) C + c_cov v v^T with v = sum_i w_i y_i, as the new
+def update_covariance(state: CmaState, v: np.ndarray) -> np.ndarray:
+    """C' = (1 - c_cov) C + c_cov v v^T for the weighted step v, as the new
     cov_steps: the old ones with v appended."""
-    steps = np.atleast_2d(np.asarray(steps, dtype=float))
-    if steps.shape[0] < state.mu:
-        raise ValueError(f"need at least mu={state.mu} ranked steps, got {steps.shape[0]}")
-    v = state.weights @ steps[: state.mu]
     return np.vstack([state.cov_steps, v])
 
 
 def evolve(state: CmaState, ranked_params: np.ndarray) -> CmaState:
-    """One full distribution update from the top-mu parameter vectors."""
-    steps = ranked_steps(state, ranked_params)
-    return replace(state, mean=update_mean(state, steps),
-                   cov_steps=update_covariance(state, steps))
+    """One full distribution update from the top-mu parameter vectors: the
+    weighted step v = sum_i w_i y_i moves the mean, m' = m + sigma * v, and
+    joins the covariance."""
+    v = state.weights @ ranked_steps(state, ranked_params)
+    return replace(state, mean=state.mean + state.sigma * v,
+                   cov_steps=update_covariance(state, v))
 
 
 def minimize_sphere(dim: int, budget: int, seed, lambda_pop: int = 16, mu: int = 8,

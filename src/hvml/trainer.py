@@ -39,7 +39,6 @@ LOSS_KEYS = ("l1", "l2", "l3", "l4")
 
 STATE_FILE = "state.npz"
 MODEL_FILE = "incumbent.model"
-META_FILE = "checkpoint.json"
 CURVES_HEADER = ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness"]
 
 
@@ -148,8 +147,6 @@ class TrainState:
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
-    shape: model.ModelShape
     final: Incumbent
     final_test: LossVector
     final_test_bce: float
@@ -279,7 +276,6 @@ def train(dataset: Dataset, config: TrainConfig,
         for key, inc in state.best_per_loss.items()
     }
     return TrainResult(
-        config=config, shape=state.shape,
         final=state.incumbent, final_test=final_test, final_test_bce=final_test_bce,
         best_per_loss=state.best_per_loss, best_per_loss_test=best_test,
         archive=state.archive, curves=state.curves, archive_hv=state.archive_hv,
@@ -299,60 +295,37 @@ def emit_curves(curves: list[CandidateRecord], path) -> None:
                          f"{lv.l1:.17g},{lv.l2:.17g},{lv.l3:.17g},{b:.17g},{rec.fitness:.17g}\n")
 
 
-def read_curves(path) -> list[CandidateRecord]:
-    """Parse a curves CSV back into records (inverse of emit_curves). A row
-    with the wrong number of cells, a split other than train or validation,
-    or a cell that is not a number raises ParseError at its line, and so
-    does a file that lacks one of a candidate's two rows."""
-    rows: dict[tuple[int, int], dict] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != CURVES_HEADER:
-            raise ParseError(f"curves header must be {','.join(CURVES_HEADER)!r}, "
-                             f"got {','.join(header)!r}", path, 1)
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.strip().split(",")
-            if len(cells) != len(CURVES_HEADER) or cells[2] not in ("train", "validation"):
-                raise ParseError(f"not a curves row: {line.strip()!r}", path, lineno)
-            try:
-                key = (int(cells[0]), int(cells[1]))
-                l1, l2, l3, bce, fit = map(float, cells[3:])
-            except ValueError as exc:
-                raise ParseError(f"not a curves row: {exc}", path, lineno) from None
-            entry = rows.setdefault(key, {"fitness": fit})
-            entry[cells[2]] = (LossVector(l1, l2, l3), bce)
-    out = []
-    for (epoch, cand), entry in sorted(rows.items()):
-        if len(entry) != 3:
-            raise ParseError(f"epoch {epoch} candidate {cand} lacks its train or validation "
-                             f"row", path)
-        tr, tr_b = entry["train"]
-        va, va_b = entry["validation"]
-        out.append(CandidateRecord(epoch, cand, tr, tr_b, va, va_b, entry["fitness"]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
-    """Write a resumable checkpoint: the incumbent in the binary model format,
-    the optimizer/archive arrays, and a JSON sidecar with config and epoch.
+# a checkpoint's candidate record row: epoch, candidate, the train l1-l3 and
+# BCE, the validation l1-l3 and BCE, fitness
+CURVE_COLUMNS = 11
+META_TYPES = {"epoch": int, "shape": list[int], "config": dict}
 
-    Every file is first written under a temporary name; only when all three
-    are complete are they renamed over the previous checkpoint, so a failed
-    save leaves that checkpoint as it was and no file is ever half-written."""
+
+def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
+    """Write a resumable checkpoint. ``state.npz`` holds all of it: a ``meta``
+    JSON string (epoch, model shape, config), the optimizer and archive
+    arrays, the incumbent and per-loss bests (``params`` and ``params_meta``:
+    row 0 the incumbent, then one row per ``best_keys`` entry) and the curve
+    records. ``incumbent.model`` exports the incumbent in the binary model
+    format for ``hvml eval``; resuming does not read it.
+
+    Each file is written under a temporary name and renamed over the old one,
+    ``state.npz`` first, so one rename commits the checkpoint: a failed save
+    leaves the previous ``state.npz`` whole, and no file is ever half-written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     best_keys = sorted(state.best_per_loss)
+    held = [state.incumbent, *(state.best_per_loss[k] for k in best_keys)]
     meta = {"epoch": state.epoch, "shape": [state.shape.d, state.shape.c, state.shape.k],
             "config": asdict(config)}
-    tmp = {name: out / (name + ".tmp") for name in (MODEL_FILE, STATE_FILE, META_FILE)}
+    tmp_state, tmp_model = out / (STATE_FILE + ".tmp"), out / (MODEL_FILE + ".tmp")
     try:
-        model.save_model(state.incumbent.params, tmp[MODEL_FILE])
-        with open(tmp[STATE_FILE], "wb") as fh:
-            np.savez_compressed(
-                fh,
+        with open(tmp_state, "wb") as fh:
+            np.savez(
+                fh, meta=json.dumps(meta),
                 mean=state.cma.mean, cov_steps=state.cma.cov_steps, sigma=state.cma.sigma,
                 lambda_pop=state.cma.lambda_pop, mu=state.cma.mu,
                 weights=state.cma.weights, c_cov=state.cma.c_cov,
@@ -360,68 +333,61 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
                 archive_tags=np.array(state.archive.tags, dtype=str),
                 archive_hv=np.array(state.archive_hv),
                 best_keys=np.array(best_keys, dtype=str),
-                best_params=np.array([state.best_per_loss[k].params.flat for k in best_keys]),
-                best_meta=np.array([[*state.best_per_loss[k].validation,
-                                     state.best_per_loss[k].validation_bce,
-                                     state.best_per_loss[k].epoch,
-                                     state.best_per_loss[k].candidate] for k in best_keys]),
-                incumbent_meta=np.array([*state.incumbent.validation,
-                                         state.incumbent.validation_bce,
-                                         state.incumbent.epoch, state.incumbent.candidate]),
+                params=np.array([inc.params.flat for inc in held]),
+                params_meta=np.array([[*inc.validation, inc.validation_bce, inc.epoch,
+                                       inc.candidate] for inc in held]),
+                curves=np.array([[r.epoch, r.candidate, *r.train, r.train_bce, *r.validation,
+                                  r.validation_bce, r.fitness] for r in state.curves],
+                                dtype=float).reshape(-1, CURVE_COLUMNS),
             )
-        tmp[META_FILE].write_text(json.dumps(meta, indent=2))
-        for name, path in tmp.items():
-            os.replace(path, out / name)
+        os.replace(tmp_state, out / STATE_FILE)
+        model.save_model(state.incumbent.params, tmp_model)
+        os.replace(tmp_model, out / MODEL_FILE)
     finally:
-        for path in tmp.values():
-            path.unlink(missing_ok=True)
+        for tmp in (tmp_state, tmp_model):
+            tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
-    """Read a checkpoint written by ``save_checkpoint``. Object arrays are
-    refused (``allow_pickle=False``), so loading a file never runs code; a
-    state file that is not such a checkpoint (an object array, a missing
-    array, or arrays that do not fit the model shape) raises ``ParseError``
-    naming it, and so does a sidecar that is not valid JSON or whose config
-    or shape does not fit ``TrainConfig`` and ``ModelShape``."""
-    out = Path(out_dir)
-    meta_path = out / META_FILE
-    try:
-        meta = json.loads(meta_path.read_text())
-        check_json(meta["config"], meta_path)
-        config = TrainConfig(**meta["config"])
-        shape = model.ModelShape(*meta["shape"])
-        epoch = int(meta["epoch"])
-    except (ValueError, KeyError, TypeError) as exc:   # JSONDecodeError is a ValueError
-        raise ParseError(f"not a readable checkpoint config: {exc}", meta_path) from exc
-    inc_params = model.load_model(out / MODEL_FILE)
-
-    def unpack_meta(row, params):
-        return Incumbent(params, LossVector(row[0], row[1], row[2]), float(row[3]),
-                         epoch=int(row[4]), candidate=int(row[5]))
-
-    path = out / STATE_FILE
+    """Read the checkpoint ``save_checkpoint`` wrote to ``out_dir``, from its
+    ``state.npz`` alone. Object arrays are refused (``allow_pickle=False``),
+    so loading a file never runs code. A file that is not such a checkpoint
+    raises ``ParseError`` naming it: a missing array (a checkpoint of the
+    former three-file format has no ``meta``), a ``meta`` that is not JSON or
+    whose epoch, shape or config does not fit its type (the config must fit
+    ``TrainConfig``), or an array whose shape does not fit the model shape
+    and the epoch (``cov_steps`` needs ``epoch`` rows, ``archive_hv`` ``epoch
+    + 1`` entries and ``curves`` ``epoch × lambda_pop`` rows)."""
+    path = Path(out_dir) / STATE_FILE
     try:
         with np.load(path, allow_pickle=False) as blob:
-            cma = cmaes.CmaState(
-                mean=blob["mean"], cov_steps=blob["cov_steps"], sigma=float(blob["sigma"]),
-                lambda_pop=int(blob["lambda_pop"]), mu=int(blob["mu"]),
-                weights=blob["weights"], c_cov=float(blob["c_cov"]),
-            )
-            if cma.n_dims != shape.n_params:
-                raise ValueError(f"mean has {cma.n_dims} entries, shape {shape} needs "
-                                 f"{shape.n_params}")
-            bests = {}
-            for key, flat, row in zip(blob["best_keys"], blob["best_params"], blob["best_meta"]):
-                bests[str(key)] = unpack_meta(row, model.ModelParams(flat, shape))
-            state = TrainState(
-                cma=cma, shape=shape, epoch=epoch,
-                incumbent=unpack_meta(blob["incumbent_meta"], inc_params),
-                best_per_loss=bests,
-                archive=pareto.Front(blob["archive_points"],
-                                     tuple(str(t) for t in blob["archive_tags"])),
-                archive_hv=list(blob["archive_hv"]),
-            )
-    except (KeyError, ValueError, DimensionError, zipfile.BadZipFile) as exc:
-        raise ParseError(f"not a readable checkpoint state: {exc}", path) from exc
+            a = dict(blob)
+        meta = json.loads(a["meta"].item())
+        check_json(meta, path, META_TYPES)
+        check_json(meta["config"], path)
+        config = TrainConfig(**meta["config"])
+        shape = model.ModelShape(*meta["shape"])
+        epoch, lambda_pop, n_held = meta["epoch"], int(a["lambda_pop"]), len(a["best_keys"]) + 1
+        for name, need in (("cov_steps", (epoch, shape.n_params)), ("archive_hv", (epoch + 1,)),
+                           ("curves", (epoch * lambda_pop, CURVE_COLUMNS)),
+                           ("params", (n_held, shape.n_params)), ("params_meta", (n_held, 6))):
+            if a[name].shape != need:
+                raise ParseError(f"{name} has shape {a[name].shape}, a checkpoint at epoch "
+                                 f"{epoch} of model {shape} needs {need}", path)
+        cma = cmaes.CmaState(mean=a["mean"], cov_steps=a["cov_steps"], sigma=float(a["sigma"]),
+                             lambda_pop=lambda_pop, mu=int(a["mu"]), weights=a["weights"],
+                             c_cov=float(a["c_cov"]))
+        held = [Incumbent(model.ModelParams(flat, shape), LossVector(*row[:3]), float(row[3]),
+                          epoch=int(row[4]), candidate=int(row[5]))
+                for flat, row in zip(a["params"], a["params_meta"])]
+        curves = [CandidateRecord(int(r[0]), int(r[1]), LossVector(*r[2:5]), r[5],
+                                  LossVector(*r[6:9]), r[9], r[10]) for r in a["curves"].tolist()]
+        state = TrainState(
+            cma=cma, shape=shape, epoch=epoch, incumbent=held[0],
+            best_per_loss=dict(zip((str(k) for k in a["best_keys"]), held[1:])),
+            archive=pareto.Front(a["archive_points"], tuple(str(t) for t in a["archive_tags"])),
+            curves=curves, archive_hv=list(a["archive_hv"]))
+    except (KeyError, ValueError, TypeError, EOFError, DimensionError,
+            zipfile.BadZipFile) as exc:
+        raise ParseError(f"not a readable checkpoint: {exc}", path) from exc
     return state, config

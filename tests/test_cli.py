@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -23,6 +24,22 @@ def toy_manifest(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def edit_meta(run_dir, edit):
+    """Rewrite the meta entry (epoch, shape and config as JSON) of a run's
+    state.npz with edit(meta), which returns the new meta as a dict or as text."""
+    path = run_dir / "state.npz"
+    with np.load(path) as blob:
+        arrays = dict(blob)
+    meta = edit(json.loads(arrays["meta"].item()))
+    arrays["meta"] = meta if isinstance(meta, str) else json.dumps(meta)
+    np.savez(path, **arrays)
+
+
+def with_config(**changes):
+    """A meta edit for edit_meta that sets config keys."""
+    return lambda meta: {**meta, "config": {**meta["config"], **changes}}
 
 
 class TestStats:
@@ -233,8 +250,9 @@ class TestTrain:
         assert set(summary["per_loss"]) == {"l1", "l2", "l3", "l4"}
         curves = (out / "curves.csv").read_text().strip().splitlines()
         assert len(curves) == 1 + 2 * 2 * 8  # header + 2 epochs x 8 candidates x 2 splits
-        for name in ("resolved_config.json", "incumbent.model", "state.npz", "checkpoint.json"):
+        for name in ("resolved_config.json", "incumbent.model", "state.npz"):
             assert (out / name).exists()
+        assert not (out / "checkpoint.json").exists()
 
     def test_zero_epochs_neutral_summary(self, toy_manifest, tmp_path, capsys):
         out = tmp_path / "run"
@@ -367,6 +385,25 @@ class TestTrain:
         _, saved = trainer.load_checkpoint(tmp_path / "resumed")
         assert (saved.seed, saved.epochs) == (5, 4)
 
+    def test_resume_from_files_of_two_runs_follows_the_state(self, toy_manifest, tmp_path,
+                                                             capsys):
+        # the state.npz and incumbent.model of a 4-epoch run copied into a
+        # 2-epoch run's directory (its curves.csv kept): the resume follows
+        # the one file it reads and equals a direct 6-epoch run
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 8, "--mu", 3]
+        for epochs, name in ((2, "two"), (4, "four"), (6, "six")):
+            assert run_cli(args + ["--epochs", epochs, "--out", tmp_path / name]) == 0
+        mixed = tmp_path / "mixed"
+        shutil.copytree(tmp_path / "two", mixed)
+        for name in ("state.npz", "incumbent.model"):
+            shutil.copy(tmp_path / "four" / name, mixed / name)
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", mixed,
+                        "--epochs", 6, "--out", tmp_path / "resumed"]) == 0
+        for name in ("summary.json", "curves.csv", "incumbent.model"):
+            assert ((tmp_path / "resumed" / name).read_bytes()
+                    == (tmp_path / "six" / name).read_bytes()), name
+
     @pytest.mark.parametrize("change,key", [
         (["--seed", 6], "seed"), (["--sigma", 0.5], "sigma"), (["--embedding", 4], "embedding"),
         (["--config", "cfg.json"], "archive_cap"),
@@ -417,19 +454,6 @@ class TestTrain:
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
                         "--epochs", 1, "--out", tmp_path / "resumed"]) == 3
 
-    def test_resume_with_mismatched_curves_exits_2(self, toy_manifest, tmp_path, capsys):
-        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--epochs", 2]
-        out = tmp_path / "two"
-        assert run_cli(args + ["--out", out]) == 0
-        curves = out / "curves.csv"
-        curves.write_text("".join(curves.read_text().splitlines(keepends=True)[:-2]))
-        capsys.readouterr()
-        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out, "--epochs", 3,
-                        "--out", tmp_path / "resumed"]) == 2
-        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert err["error"] == "ParseError" and "curves.csv" in err["message"]
-
     @pytest.mark.parametrize("widen", ["x.csv", "y.csv"])
     def test_resume_onto_manifest_of_another_width_keeps_resolved_config(
             self, toy_manifest, tmp_path, capsys, widen):
@@ -457,13 +481,11 @@ class TestTrain:
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
                 "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--out", out]) == 0
-        meta = json.loads((out / "checkpoint.json").read_text())
-        meta["config"].update(literal_cma=False, sigma_rule="none")
-        (out / "checkpoint.json").write_text(json.dumps(meta))
+        edit_meta(out, with_config(literal_cma=False, sigma_rule="none"))
         capsys.readouterr()
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert err["error"] == "ParseError" and "checkpoint.json" in err["message"]
+        assert err["error"] == "ParseError" and "state.npz" in err["message"]
 
     def test_checkpoint_recording_workers_exits_2(self, toy_manifest, tmp_path, capsys):
         # checkpoints written while --workers existed record it
@@ -471,14 +493,12 @@ class TestTrain:
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
                 "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--out", out]) == 0
-        meta = json.loads((out / "checkpoint.json").read_text())
-        meta["config"]["workers"] = 1
-        (out / "checkpoint.json").write_text(json.dumps(meta))
+        edit_meta(out, with_config(workers=1))
         capsys.readouterr()
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
-        assert "checkpoint.json" in err["message"] and "workers" in err["message"]
+        assert "state.npz" in err["message"] and "workers" in err["message"]
 
     @pytest.mark.parametrize("key,value", [
         ("mc_samples", 10000), ("exact_fitness", False), ("track_archive_hv", True),
@@ -490,37 +510,13 @@ class TestTrain:
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
                 "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--out", out]) == 0
-        meta = json.loads((out / "checkpoint.json").read_text())
-        meta["config"][key] = value
-        (out / "checkpoint.json").write_text(json.dumps(meta))
+        edit_meta(out, with_config(**{key: value}))
         capsys.readouterr()
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
-        assert "checkpoint.json" in err["message"] and key in err["message"]
+        assert "state.npz" in err["message"] and key in err["message"]
         assert not (tmp_path / "resumed").exists()
-
-    @pytest.mark.parametrize("edit,where", [
-        (lambda cells: cells[:3] + ["x.5"] + cells[4:], "curves.csv:6:"),
-        (lambda cells: cells[:5], "curves.csv:6:"),
-        (lambda cells: cells[:2] + ["test"] + cells[3:], "curves.csv:6:"),
-        (lambda cells: None, "curves.csv: epoch 1 candidate 2 lacks"),
-    ], ids=["non-number", "short-line", "unknown-split", "missing-row"])
-    def test_malformed_curves_row_exits_2(self, toy_manifest, tmp_path, capsys, edit, where):
-        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
-                "--lambda-pop", 8, "--mu", 3, "--epochs", 2]
-        out = tmp_path / "two"
-        assert run_cli(args + ["--out", out]) == 0
-        curves = out / "curves.csv"
-        lines = curves.read_text().splitlines()
-        cells = edit(lines[5].split(","))
-        lines[5:6] = [] if cells is None else [",".join(cells)]
-        curves.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out, "--epochs", 3,
-                        "--out", tmp_path / "resumed"]) == 2
-        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert err["error"] == "ParseError" and where in err["message"]
 
     def test_dense_format_checkpoint_exits_2(self, toy_manifest, tmp_path, capsys):
         # a state.npz from before the low-rank covariance holds cov, not cov_steps
@@ -540,21 +536,38 @@ class TestTrain:
         assert "state.npz" in err["message"] and "cov_steps" in err["message"]
 
     @pytest.mark.parametrize("edit", [
-        lambda meta: json.dumps({**json.loads(meta), "config": {
-            **json.loads(meta)["config"], "unknown_option": 1}}),
-        lambda meta: meta[: len(meta) // 2],
+        with_config(unknown_option=1),
+        lambda meta: json.dumps(meta)[: len(json.dumps(meta)) // 2],
     ], ids=["unknown-config-key", "not-json"])
     def test_malformed_checkpoint_json_exits_2(self, toy_manifest, tmp_path, capsys, edit):
         out = tmp_path / "run"
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
                 "--embedding", 3, "--lambda-pop", 8, "--mu", 3]
         assert run_cli(args + ["--out", out]) == 0
-        meta = out / "checkpoint.json"
-        meta.write_text(edit(meta.read_text()))
+        edit_meta(out, edit)
         capsys.readouterr()
         assert run_cli(args + ["--out", tmp_path / "resumed", "--resume", out]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert err["error"] == "ParseError" and "checkpoint.json" in err["message"]
+        assert err["error"] == "ParseError" and "state.npz" in err["message"]
+
+    @pytest.mark.parametrize("key,edit", [
+        ("epoch", lambda meta: {**meta, "epoch": 2.9}),
+        ("epoch", lambda meta: {**meta, "epoch": True}),
+        ("shape", lambda meta: {**meta, "shape": [meta["shape"][0], 3.0, meta["shape"][2]]}),
+    ], ids=["epoch-2.9", "epoch-true", "shape-entry-3.0"])
+    def test_checkpoint_epoch_or_shape_of_wrong_type_exits_2(self, toy_manifest, tmp_path,
+                                                             capsys, key, edit):
+        out = tmp_path / "two"
+        assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
+                        "--embedding", 3, "--lambda-pop", 8, "--mu", 3, "--out", out]) == 0
+        edit_meta(out, edit)
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out, "--epochs", 4,
+                        "--out", tmp_path / "resumed"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "state.npz" in err["message"] and key in err["message"]
+        assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("epochs", 2.0), ("seed", 3.7), ("archive_cap", 1.5), ("embedding", True)])
@@ -564,15 +577,13 @@ class TestTrain:
         out = tmp_path / "two"
         assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
                         "--embedding", 3, "--lambda-pop", 8, "--mu", 3, "--out", out]) == 0
-        meta = json.loads((out / "checkpoint.json").read_text())
-        meta["config"][key] = value
-        (out / "checkpoint.json").write_text(json.dumps(meta))
+        edit_meta(out, with_config(**{key: value}))
         capsys.readouterr()
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", out,
                         "--out", tmp_path / "resumed"]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
-        assert "checkpoint.json" in err["message"] and key in err["message"]
+        assert "state.npz" in err["message"] and key in err["message"]
         assert not (tmp_path / "resumed").exists()
 
     def test_config_file_not_an_object_exits_2(self, toy_manifest, tmp_path, capsys):

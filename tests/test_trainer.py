@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from hvml import cmaes, data, model, pareto, synth, trainer
 from hvml.errors import ConfigError, DimensionError, NumericError, ParseError
-from hvml.trainer import TrainConfig, emit_curves, evaluate, read_curves, train
+from hvml.losses import LossVector
+from hvml.trainer import CURVES_HEADER, CandidateRecord, TrainConfig, emit_curves, evaluate, train
 
 import seed_panel
 from oracles import leave_one_out_contribution
@@ -214,6 +216,39 @@ class TestRefusedBeforeEpochOne:
         assert sampled == []
 
 
+def read_curves(path) -> list[CandidateRecord]:
+    """Parse a curves CSV back into records (inverse of emit_curves). A row
+    with the wrong number of cells, a split other than train or validation,
+    or a cell that is not a number raises ParseError at its line, and so
+    does a file that lacks one of a candidate's two rows."""
+    rows: dict[tuple[int, int], dict] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header != CURVES_HEADER:
+            raise ParseError(f"curves header must be {','.join(CURVES_HEADER)!r}, "
+                             f"got {','.join(header)!r}", path, 1)
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if len(cells) != len(CURVES_HEADER) or cells[2] not in ("train", "validation"):
+                raise ParseError(f"not a curves row: {line.strip()!r}", path, lineno)
+            try:
+                key = (int(cells[0]), int(cells[1]))
+                l1, l2, l3, bce, fit = map(float, cells[3:])
+            except ValueError as exc:
+                raise ParseError(f"not a curves row: {exc}", path, lineno) from None
+            entry = rows.setdefault(key, {"fitness": fit})
+            entry[cells[2]] = (LossVector(l1, l2, l3), bce)
+    out = []
+    for (epoch, cand), entry in sorted(rows.items()):
+        if len(entry) != 3:
+            raise ParseError(f"epoch {epoch} candidate {cand} lacks its train or validation "
+                             f"row", path)
+        tr, tr_b = entry["train"]
+        va, va_b = entry["validation"]
+        out.append(CandidateRecord(epoch, cand, tr, tr_b, va, va_b, entry["fitness"]))
+    return out
+
+
 class TestCurvesCsv:
     def test_row_count_and_round_trip(self, toy_dataset, tmp_path):
         res = train(toy_dataset, tiny_config(epochs=1))
@@ -268,6 +303,7 @@ class TestCheckpoint:
         assert np.array_equal(resumed.final.params.flat, full.final.params.flat)
         assert resumed.final.validation == full.final.validation
         assert resumed.archive.tags == full.archive.tags
+        assert resumed.curves == full.curves and resumed.archive_hv == full.archive_hv
 
     def test_train_leaves_the_given_state_as_it_was(self, toy_dataset):
         def snapshot(s):
@@ -290,7 +326,7 @@ class TestCheckpoint:
         with np.load(path / trainer.STATE_FILE) as blob:
             arrays = dict(blob)
         edit(arrays)
-        np.savez_compressed(path / trainer.STATE_FILE, **arrays)
+        np.savez(path / trainer.STATE_FILE, **arrays)
 
     def test_object_array_checkpoint_refused(self, toy_dataset, tmp_path):
         res = train(toy_dataset, tiny_config(epochs=2))
@@ -308,7 +344,15 @@ class TestCheckpoint:
         lambda arrays: arrays.update(cov=np.eye(arrays.pop("cov_steps").shape[1])),
         # update vectors one entry too wide
         lambda arrays: arrays.update(cov_steps=np.zeros((2, arrays["mean"].size + 1))),
-    ], ids=["no-cov-steps", "no-archive-hv", "dense-format", "wide-cov-steps"])
+        # an epoch the arrays disagree with: one update vector, archive HV
+        # value or candidate record short of the epoch in meta
+        lambda arrays: arrays.update(cov_steps=arrays["cov_steps"][:-1]),
+        lambda arrays: arrays.update(archive_hv=arrays["archive_hv"][:-1]),
+        lambda arrays: arrays.update(curves=arrays["curves"][:-1]),
+        # the former three-file format keeps epoch, shape and config beside the state
+        lambda arrays: arrays.pop("meta"),
+    ], ids=["no-cov-steps", "no-archive-hv", "dense-format", "wide-cov-steps",
+            "cov-steps-rows", "archive-hv-length", "curves-rows", "no-meta"])
     def test_malformed_state_is_parse_error(self, toy_dataset, tmp_path, edit):
         res = train(toy_dataset, tiny_config(epochs=2))
         trainer.save_checkpoint(res.state, tiny_config(epochs=2), tmp_path)
@@ -316,6 +360,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError) as err:
             trainer.load_checkpoint(tmp_path)
         assert err.value.path == tmp_path / trainer.STATE_FILE
+
+    @pytest.mark.parametrize("keep", [0, 0.5], ids=["empty", "half"])
+    def test_truncated_state_is_parse_error(self, toy_dataset, tmp_path, keep):
+        res = train(toy_dataset, tiny_config(epochs=1))
+        trainer.save_checkpoint(res.state, tiny_config(epochs=1), tmp_path)
+        path = tmp_path / trainer.STATE_FILE
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(ParseError) as err:
+            trainer.load_checkpoint(tmp_path)
+        assert err.value.path == path
 
     @pytest.mark.parametrize("edit", [
         lambda meta: "{not json",
@@ -326,11 +381,11 @@ class TestCheckpoint:
     def test_malformed_sidecar_is_parse_error(self, toy_dataset, tmp_path, edit):
         res = train(toy_dataset, tiny_config(epochs=1))
         trainer.save_checkpoint(res.state, tiny_config(epochs=1), tmp_path)
-        meta = tmp_path / trainer.META_FILE
-        meta.write_text(edit(meta.read_text()))
+        self._rewrite_state(tmp_path, lambda arrays: arrays.update(
+            meta=edit(arrays["meta"].item())))
         with pytest.raises(ParseError) as err:
             trainer.load_checkpoint(tmp_path)
-        assert err.value.path == meta
+        assert err.value.path == tmp_path / trainer.STATE_FILE
 
     def test_failed_save_keeps_previous_checkpoint(self, toy_dataset, tmp_path, monkeypatch):
         first = train(toy_dataset, tiny_config(epochs=2))
@@ -342,7 +397,7 @@ class TestCheckpoint:
             fh.write(b"PK\x03\x04 half an archive")
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(np, "savez_compressed", disk_full)
+        monkeypatch.setattr(np, "savez", disk_full)
         with pytest.raises(OSError):
             trainer.save_checkpoint(later.state, tiny_config(epochs=3), tmp_path)
         monkeypatch.undo()
@@ -351,11 +406,58 @@ class TestCheckpoint:
         assert state.epoch == 2 and config.epochs == 2
         assert np.array_equal(state.cma.cov_steps, first.state.cma.cov_steps)
 
+    @staticmethod
+    def _snapshot(state):
+        def held(inc):
+            return (inc.params.flat.tobytes(), tuple(inc.validation), inc.validation_bce,
+                    inc.epoch, inc.candidate)
+
+        return (state.epoch, state.cma.mean.tobytes(), state.cma.cov_steps.tobytes(),
+                held(state.incumbent),
+                {key: held(inc) for key, inc in state.best_per_loss.items()},
+                state.archive.points.tobytes(), state.archive.tags, list(state.archive_hv),
+                state.curves)
+
+    def test_save_killed_at_each_rename_loads_whole_old_or_new(self, toy_dataset, tmp_path,
+                                                               monkeypatch):
+        # a save over an older checkpoint stops at its k-th rename; whatever
+        # made it to disk, the checkpoint loads as one epoch's state
+        old = train(toy_dataset, tiny_config(epochs=2)).state
+        new = train(toy_dataset, tiny_config(epochs=3)).state
+        real_replace = os.replace
+        renames = []
+        monkeypatch.setattr(os, "replace", lambda a, b: (renames.append(b), real_replace(a, b)))
+        trainer.save_checkpoint(new, tiny_config(epochs=3), tmp_path / "count")
+        monkeypatch.undo()
+        whole = {s.epoch: self._snapshot(s) for s in (old, new)}
+        for k in range(1, len(renames) + 1):
+            where = tmp_path / f"killed-at-{k}"
+            trainer.save_checkpoint(old, tiny_config(epochs=2), where)
+            calls = []
+
+            def killed(a, b, k=k):
+                calls.append(b)
+                if len(calls) == k:
+                    raise KeyboardInterrupt
+                real_replace(a, b)
+
+            monkeypatch.setattr(os, "replace", killed)
+            with pytest.raises(KeyboardInterrupt):
+                trainer.save_checkpoint(new, tiny_config(epochs=3), where)
+            monkeypatch.undo()
+            state, config = trainer.load_checkpoint(where)
+            assert config.epochs == state.epoch, k
+            assert self._snapshot(state) == whole[state.epoch], k
+            assert not list(where.glob("*.tmp"))
+
     def test_checkpoint_files(self, toy_dataset, tmp_path):
+        # the whole checkpoint is state.npz; incumbent.model exports the incumbent
         res = train(toy_dataset, tiny_config(epochs=2))
         trainer.save_checkpoint(res.state, tiny_config(epochs=2), tmp_path)
-        assert (tmp_path / trainer.MODEL_FILE).exists()
-        assert (tmp_path / trainer.STATE_FILE).exists()
-        assert (tmp_path / trainer.META_FILE).exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [trainer.MODEL_FILE,
+                                                               trainer.STATE_FILE]
         params = model.load_model(tmp_path / trainer.MODEL_FILE)
         assert np.array_equal(params.flat, res.final.params.flat)
+        state, _ = trainer.load_checkpoint(tmp_path)
+        assert np.array_equal(state.incumbent.params.flat, res.final.params.flat)
+        assert state.curves == res.curves
