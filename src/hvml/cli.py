@@ -139,22 +139,19 @@ def cmd_train(args) -> int:
 
     trainer.emit_curves(result.curves, out / "curves.csv")
     trainer.save_checkpoint(result.state, config, out)
+
+    def scored(inc: trainer.Incumbent) -> dict:
+        return {"validation": _losses_json(inc.validation, inc.validation_bce),
+                "test": _losses_json(*trainer.evaluate(inc.params, dataset, "test",
+                                                       config.threshold))}
+
     summary = {
         "dataset": dataset.name,
-        "epochs": result.epochs_run,
+        "epochs": result.state.epoch,
         "seed": config.seed,
-        "final": {
-            "validation": _losses_json(result.final.validation, result.final.validation_bce),
-            "test": _losses_json(result.final_test, result.final_test_bce),
-        },
-        "per_loss": {
-            key: {
-                "validation": _losses_json(inc.validation, inc.validation_bce),
-                "test": _losses_json(*result.best_per_loss_test[key]),
-                "epoch": inc.epoch,
-            }
-            for key, inc in sorted(result.best_per_loss.items())
-        },
+        "final": scored(result.final),
+        "per_loss": {key: {**scored(inc), "epoch": inc.epoch}
+                     for key, inc in sorted(result.state.best_per_loss.items())},
         "archive_size": len(result.archive),
         "archive_hv": result.archive_hv[-1],
     }
@@ -263,11 +260,11 @@ def cmd_sweep(args) -> int:
     rows = []
     for c, run_seed, config, dataset, state in runs:
         result = trainer.train(dataset, config, resume_state=state)
-        best = {key: inc.validation for key, inc in result.best_per_loss.items()}
+        bests = result.state.best_per_loss
         row = {
             "c": c, "seed": run_seed,
-            "best_l1": best["l1"].l1, "best_l2": best["l2"].l2, "best_l3": best["l3"].l3,
-            "best_l4": result.best_per_loss["l4"].validation_bce,
+            "best_l1": bests["l1"].validation.l1, "best_l2": bests["l2"].validation.l2,
+            "best_l3": bests["l3"].validation.l3, "best_l4": bests["l4"].validation_bce,
             "final_gm": geometric_mean(result.final.validation),
             "archive_hv": result.archive_hv[-1],
         }

@@ -352,12 +352,6 @@ def load_csv(features_path, labels_path, name: str | None = None) -> Dataset:
                    name=name or Path(features_path).stem)
 
 
-def write_csv(dataset: Dataset, features_path, labels_path) -> None:
-    """Write a dataset back to paired CSV files (round-trips with load_csv)."""
-    np.savetxt(features_path, dataset.x, delimiter=",", fmt="%.17g")
-    np.savetxt(labels_path, dataset.y, delimiter=",", fmt="%d")
-
-
 # ---------------------------------------------------------------------------
 # manifest
 

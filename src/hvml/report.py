@@ -172,16 +172,6 @@ def critical_difference(k: int, t: int, alpha: float = 0.05) -> float:
     return z * math.sqrt(k * (k + 1) / (6.0 * t))
 
 
-@dataclass
-class RankSummary:
-    """Method ranking under one metric: mean ranks, Friedman, critical difference."""
-
-    metric: str
-    mean_ranks: dict[str, float]
-    friedman: float
-    cd: float
-
-
 def _metric_matrix(table: ResultsTable, metric: str) -> tuple[np.ndarray, list[str]]:
     """datasets x methods value matrix for one metric (lower = better).
 
@@ -200,18 +190,12 @@ def _metric_matrix(table: ResultsTable, metric: str) -> tuple[np.ndarray, list[s
     return mat, methods
 
 
-def rank_summary(table: ResultsTable, metric: str, alpha: float = 0.05) -> RankSummary:
-    """Rank methods within each dataset (the method-comparison orientation)."""
+def rank_summary(table: ResultsTable, metric: str) -> dict[str, float]:
+    """Each method's mean rank under one metric, ranking methods within each
+    dataset (the method-comparison orientation), in the table's method order."""
     mat, methods = _metric_matrix(table, metric)
-    stat, mean_ranks = friedman_statistic(mat)
-    cd = critical_difference(len(table.methods), len(table.datasets), alpha)
-    by_method = dict(zip(methods, (float(r) for r in mean_ranks)))
-    return RankSummary(
-        metric=metric,
-        mean_ranks={m: by_method[m] for m in table.methods},
-        friedman=stat,
-        cd=cd,
-    )
+    by_method = dict(zip(methods, friedman_statistic(mat)[1].tolist()))
+    return {m: by_method[m] for m in table.methods}
 
 
 def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 0.05) -> dict:
@@ -271,8 +255,7 @@ def write_report(table: ResultsTable, out_dir, alpha: float = 0.05) -> dict:
         "alpha": alpha,
     }
     for metric in METRIC_KEYS:
-        rs = rank_summary(table, metric, alpha)
-        summary["mean_ranks"][metric] = rs.mean_ranks
+        summary["mean_ranks"][metric] = rank_summary(table, metric)
         summary["friedman"][metric] = friedman_both_orientations(table, metric, alpha)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary

@@ -10,7 +10,7 @@ its exclusive hypervolume contribution within its own generation: the
 volume of loss space it alone dominates among the population's TRAINING
 loss vectors, bounded by the unit reference vector. Validation losses go
 into the archives (full non-dominated front plus per-loss bests) and never
-touch fitness; the test split is only evaluated once at the end.
+touch fitness; the test split is scored by ``hvml train``, not here.
 
 Every contribution is exact, and all of a generation's come from one sweep
 (``pareto.exact_contributions``), so fitness draws no random numbers: the
@@ -147,16 +147,13 @@ class TrainState:
 
 @dataclass
 class TrainResult:
+    """The final loop state and, taken from it, the incumbent, archive and curves."""
+
     final: Incumbent
-    final_test: LossVector
-    final_test_bce: float
-    best_per_loss: dict[str, Incumbent]
-    best_per_loss_test: dict[str, tuple[LossVector, float]]
     archive: pareto.Front
     curves: list[CandidateRecord]
     archive_hv: list[float]
-    epochs_run: int
-    state: "TrainState" = None  # final loop state, for checkpointing
+    state: TrainState
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, split: str,
@@ -181,39 +178,34 @@ def _prune_archive(front: pareto.Front, cap: int) -> pareto.Front:
     return front
 
 
-def _update_bests(bests: dict[str, Incumbent], cand: Incumbent) -> None:
-    values = dict(zip(LOSS_KEYS, (*cand.validation, cand.validation_bce)))
-    for key in LOSS_KEYS:
-        cur = bests.get(key)
-        cur_val = None if cur is None else dict(zip(LOSS_KEYS, (*cur.validation, cur.validation_bce)))[key]
-        if cur is None or values[key] < cur_val:
-            bests[key] = cand
+def _initial_cma(shape: model.ModelShape, config: TrainConfig) -> cmaes.CmaState:
+    """The search distribution before epoch 1; its constants (sigma, lambda,
+    mu, weights, c_cov) come from the config and the parameter count alone."""
+    return cmaes.CmaState.initial(shape.n_params, sigma=config.sigma,
+                                  lambda_pop=config.lambda_pop, mu=config.mu, c_cov=config.c_cov)
 
 
 def initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     """The state before epoch 1: the initial search distribution, and the
     neutral model at its mean as incumbent, per-loss best and archive."""
     shape = model.ModelShape(d=dataset.d, c=config.embedding, k=dataset.k)
-    cma = cmaes.CmaState.initial(
-        shape.n_params, sigma=config.sigma, lambda_pop=config.lambda_pop,
-        mu=config.mu, c_cov=config.c_cov)
+    cma = _initial_cma(shape, config)
     params0 = model.ModelParams(cma.mean.copy(), shape)
     val_lv, val_bce = evaluate(params0, dataset, "validation", config.threshold)
     seed0 = Incumbent(params0, val_lv, val_bce, epoch=0, candidate=-1)
-    bests: dict[str, Incumbent] = {}
-    _update_bests(bests, seed0)
     archive = pareto.Front([val_lv], ("e0",))
-    return TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0, best_per_loss=bests,
+    return TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0,
+                      best_per_loss=dict.fromkeys(LOSS_KEYS, seed0),
                       archive=archive, archive_hv=[pareto.exact_hypervolume(archive)])
 
 
 def train(dataset: Dataset, config: TrainConfig,
           resume_state: TrainState | None = None) -> TrainResult:
     """Run the optimization loop from ``resume_state`` (a loaded checkpoint
-    or ``initial_state``'s result; built here when None) and return
-    incumbents, archives, and curves. The loop works on a copy, so the given
-    state is left as it was. The stacked features and each split's labels
-    are checked once, before epoch 1."""
+    or ``initial_state``'s result; built here when None) and return the final
+    state with its incumbent, archive and curves. The loop works on a copy,
+    so the given state is left as it was. The stacked features and each
+    split's labels are checked once, before epoch 1."""
     if dataset.split is None:
         raise ConfigError("dataset must be split before training")
     state = resume_state if resume_state is not None else initial_state(dataset, config)
@@ -238,6 +230,7 @@ def train(dataset: Dataset, config: TrainConfig,
 
         evals = [eval_candidate(p) for p in params]
         train_vecs = np.array([np.asarray(tr[0]) for tr, _ in evals])
+        val = np.array([(*va_lv, va_bce) for _, (va_lv, va_bce) in evals])  # l1-l3, BCE
 
         # fitness: each candidate's exclusive contribution among the
         # generation's own training loss vectors, bounded by the unit vector.
@@ -252,10 +245,14 @@ def train(dataset: Dataset, config: TrainConfig,
             state.curves.append(CandidateRecord(
                 epoch=epoch, candidate=i, train=tr_lv, train_bce=tr_bce,
                 validation=va_lv, validation_bce=va_bce, fitness=float(fitness[i])))
-            cand = Incumbent(params[i], va_lv, va_bce, epoch=epoch, candidate=i)
-            _update_bests(state.best_per_loss, cand)
-        val_pairs = [(np.asarray(evals[i][1][0]), f"e{epoch}c{i}")
-                     for i in range(len(params))]
+        # a per-loss best moves to the generation's first lowest value only
+        # when that is strictly below the value held
+        for j, key in enumerate(LOSS_KEYS):
+            i, held = int(np.argmin(val[:, j])), state.best_per_loss[key]
+            if val[i, j] < (*held.validation, held.validation_bce)[j]:
+                state.best_per_loss[key] = Incumbent(params[i], *evals[i][1],
+                                                     epoch=epoch, candidate=i)
+        val_pairs = [(val[i, :3], f"e{epoch}c{i}") for i in range(len(params))]
         state.archive = pareto.update_reference_set(state.archive, val_pairs)
         state.archive = _prune_archive(state.archive, config.archive_cap)
         state.archive_hv.append(pareto.exact_hypervolume(state.archive))
@@ -265,22 +262,13 @@ def train(dataset: Dataset, config: TrainConfig,
         cma = cmaes.evolve(cma, population[order[: cma.mu]])
 
         best_i = int(order[0])
-        state.incumbent = Incumbent(params[best_i], evals[best_i][1][0],
-                                    evals[best_i][1][1], epoch=epoch, candidate=best_i)
+        state.incumbent = Incumbent(params[best_i], *evals[best_i][1],
+                                    epoch=epoch, candidate=best_i)
         state.cma = cma
         state.epoch = epoch
 
-    final_test, final_test_bce = evaluate(state.incumbent.params, dataset, "test", config.threshold)
-    best_test = {
-        key: evaluate(inc.params, dataset, "test", config.threshold)
-        for key, inc in state.best_per_loss.items()
-    }
-    return TrainResult(
-        final=state.incumbent, final_test=final_test, final_test_bce=final_test_bce,
-        best_per_loss=state.best_per_loss, best_per_loss_test=best_test,
-        archive=state.archive, curves=state.curves, archive_hv=state.archive_hv,
-        epochs_run=state.epoch, state=state,
-    )
+    return TrainResult(final=state.incumbent, archive=state.archive, curves=state.curves,
+                       archive_hv=state.archive_hv, state=state)
 
 
 def emit_curves(curves: list[CandidateRecord], path) -> None:
@@ -305,20 +293,21 @@ META_TYPES = {"epoch": int, "shape": list[int], "config": dict}
 
 
 def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
-    """Write a resumable checkpoint. ``state.npz`` holds all of it: a ``meta``
-    JSON string (epoch, model shape, config), the optimizer and archive
-    arrays, the incumbent and per-loss bests (``params`` and ``params_meta``:
-    row 0 the incumbent, then one row per ``best_keys`` entry) and the curve
-    records. ``incumbent.model`` exports the incumbent in the binary model
-    format for ``hvml eval``; resuming does not read it.
+    """Write a resumable checkpoint. ``state.npz`` holds all of it, and only
+    what training changes: a ``meta`` JSON string (epoch, model shape,
+    config), the search mean and update vectors, the archive arrays, the
+    incumbent and per-loss bests (``params`` and ``params_meta``: row 0 the
+    incumbent, then one row per ``LOSS_KEYS`` entry) and the curve records.
+    The optimizer's constants are not stored: they follow from the config.
+    ``incumbent.model`` exports the incumbent in the binary model format for
+    ``hvml eval``; resuming does not read it.
 
     Each file is written under a temporary name and renamed over the old one,
     ``state.npz`` first, so one rename commits the checkpoint: a failed save
     leaves the previous ``state.npz`` whole, and no file is ever half-written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    best_keys = sorted(state.best_per_loss)
-    held = [state.incumbent, *(state.best_per_loss[k] for k in best_keys)]
+    held = [state.incumbent, *(state.best_per_loss[k] for k in LOSS_KEYS)]
     meta = {"epoch": state.epoch, "shape": [state.shape.d, state.shape.c, state.shape.k],
             "config": asdict(config)}
     tmp_state, tmp_model = out / (STATE_FILE + ".tmp"), out / (MODEL_FILE + ".tmp")
@@ -326,13 +315,10 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
         with open(tmp_state, "wb") as fh:
             np.savez(
                 fh, meta=json.dumps(meta),
-                mean=state.cma.mean, cov_steps=state.cma.cov_steps, sigma=state.cma.sigma,
-                lambda_pop=state.cma.lambda_pop, mu=state.cma.mu,
-                weights=state.cma.weights, c_cov=state.cma.c_cov,
+                mean=state.cma.mean, cov_steps=state.cma.cov_steps,
                 archive_points=state.archive.points,
                 archive_tags=np.array(state.archive.tags, dtype=str),
                 archive_hv=np.array(state.archive_hv),
-                best_keys=np.array(best_keys, dtype=str),
                 params=np.array([inc.params.flat for inc in held]),
                 params_meta=np.array([[*inc.validation, inc.validation_bce, inc.epoch,
                                        inc.candidate] for inc in held]),
@@ -350,14 +336,18 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
 
 def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
     """Read the checkpoint ``save_checkpoint`` wrote to ``out_dir``, from its
-    ``state.npz`` alone. Object arrays are refused (``allow_pickle=False``),
-    so loading a file never runs code. A file that is not such a checkpoint
-    raises ``ParseError`` naming it: a missing array (a checkpoint of the
-    former three-file format has no ``meta``), a ``meta`` that is not JSON or
-    whose epoch, shape or config does not fit its type (the config must fit
-    ``TrainConfig``), or an array whose shape does not fit the model shape
-    and the epoch (``cov_steps`` needs ``epoch`` rows, ``archive_hv`` ``epoch
-    + 1`` entries and ``curves`` ``epoch × lambda_pop`` rows)."""
+    ``state.npz`` alone. The optimizer's constants are rebuilt from the
+    config, as ``initial_state`` builds them; the entries a checkpoint of the
+    previous format also holds for them (and ``best_keys``) are ignored.
+    Object arrays are refused (``allow_pickle=False``), so loading a file
+    never runs code. A file that is not such a checkpoint raises
+    ``ParseError`` naming it: a missing array (a checkpoint of the former
+    three-file format has no ``meta``), a ``meta`` that is not JSON or whose
+    epoch, shape or config does not fit its type, a config that
+    ``TrainConfig`` or the optimizer refuses, or an array whose shape does
+    not fit the model shape and the epoch (``mean`` needs one entry per
+    parameter, ``cov_steps`` ``epoch`` rows, ``archive_hv`` ``epoch + 1``
+    entries and ``curves`` ``epoch × lambda_pop`` rows)."""
     path = Path(out_dir) / STATE_FILE
     try:
         with np.load(path, allow_pickle=False) as blob:
@@ -367,16 +357,15 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
         check_json(meta["config"], path)
         config = TrainConfig(**meta["config"])
         shape = model.ModelShape(*meta["shape"])
-        epoch, lambda_pop, n_held = meta["epoch"], int(a["lambda_pop"]), len(a["best_keys"]) + 1
-        for name, need in (("cov_steps", (epoch, shape.n_params)), ("archive_hv", (epoch + 1,)),
-                           ("curves", (epoch * lambda_pop, CURVE_COLUMNS)),
+        cma, epoch, n_held = _initial_cma(shape, config), meta["epoch"], len(LOSS_KEYS) + 1
+        for name, need in (("mean", (shape.n_params,)), ("cov_steps", (epoch, shape.n_params)),
+                           ("archive_hv", (epoch + 1,)),
+                           ("curves", (epoch * cma.lambda_pop, CURVE_COLUMNS)),
                            ("params", (n_held, shape.n_params)), ("params_meta", (n_held, 6))):
             if a[name].shape != need:
                 raise ParseError(f"{name} has shape {a[name].shape}, a checkpoint at epoch "
                                  f"{epoch} of model {shape} needs {need}", path)
-        cma = cmaes.CmaState(mean=a["mean"], cov_steps=a["cov_steps"], sigma=float(a["sigma"]),
-                             lambda_pop=lambda_pop, mu=int(a["mu"]), weights=a["weights"],
-                             c_cov=float(a["c_cov"]))
+        cma = replace(cma, mean=a["mean"], cov_steps=a["cov_steps"])
         held = [Incumbent(model.ModelParams(flat, shape), LossVector(*row[:3]), float(row[3]),
                           epoch=int(row[4]), candidate=int(row[5]))
                 for flat, row in zip(a["params"], a["params_meta"])]
@@ -384,10 +373,10 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
                                   LossVector(*r[6:9]), r[9], r[10]) for r in a["curves"].tolist()]
         state = TrainState(
             cma=cma, shape=shape, epoch=epoch, incumbent=held[0],
-            best_per_loss=dict(zip((str(k) for k in a["best_keys"]), held[1:])),
+            best_per_loss=dict(zip(LOSS_KEYS, held[1:])),
             archive=pareto.Front(a["archive_points"], tuple(str(t) for t in a["archive_tags"])),
             curves=curves, archive_hv=list(a["archive_hv"]))
-    except (KeyError, ValueError, TypeError, EOFError, DimensionError,
+    except (KeyError, ValueError, TypeError, EOFError, ConfigError, DimensionError,
             zipfile.BadZipFile) as exc:
         raise ParseError(f"not a readable checkpoint: {exc}", path) from exc
     return state, config

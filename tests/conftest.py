@@ -10,6 +10,16 @@ import seed_panel
 
 
 @pytest.fixture(scope="session")
+def write_csv():
+    """Writes a dataset as the paired feature and label CSV files that
+    ``data.load_csv`` reads back exactly (features to 17 digits)."""
+    def write(dataset, features_path, labels_path):
+        np.savetxt(features_path, dataset.x, delimiter=",", fmt="%.17g")
+        np.savetxt(labels_path, dataset.y, delimiter=",", fmt="%d")
+    return write
+
+
+@pytest.fixture(scope="session")
 def benchmark_rows():
     """Rows of the bundled benchmark table as dicts with parsed floats."""
     with open(benchmark_results_path(), "r", encoding="utf-8", newline="") as fh:

@@ -258,7 +258,7 @@ def test_criterion_9_toy_copy_task(copy_task_panel):
     # significantly fewer seeds (exact one-sided sign test at 5%)
     passed = {}
     for key, (result, elapsed) in copy_task_panel.items():
-        best_l1 = result.best_per_loss["l1"].validation.l1
+        best_l1 = result.state.best_per_loss["l1"].validation.l1
         final_l1 = result.final.validation.l1
         hv = np.array(result.archive_hv)
         monotone = bool((np.diff(hv) >= -1e-12).all())
@@ -299,7 +299,7 @@ def test_criterion_10_full_scale_run():
             if v < running[key]:
                 running[key] = v
     for i, key in enumerate(("l1", "l2", "l3")):
-        monotone &= result.best_per_loss[key].validation[i] == pytest.approx(running[key])
+        monotone &= result.state.best_per_loss[key].validation[i] == pytest.approx(running[key])
 
     final_gm = geometric_mean(result.final.validation)
     ok = elapsed < 1800 and monotone and final_gm <= 0.45

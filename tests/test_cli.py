@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, cli, data, pareto, synth, trainer
+from hvml import benchmark_results_path, cli, pareto, synth, trainer
 from hvml.cli import main
 
 import seed_panel
@@ -14,9 +14,8 @@ from oracles import tagged
 
 
 @pytest.fixture()
-def toy_manifest(tmp_path):
-    ds = synth.copy_task(seed=7)
-    data.write_csv(ds, tmp_path / "x.csv", tmp_path / "y.csv")
+def toy_manifest(tmp_path, write_csv):
+    write_csv(synth.copy_task(seed=7), tmp_path / "x.csv", tmp_path / "y.csv")
     manifest = tmp_path / "toy.json"
     manifest.write_text(json.dumps({"name": "toy", "csv_paths": ["x.csv", "y.csv"]}))
     return manifest
@@ -586,6 +585,53 @@ class TestTrain:
         assert "state.npz" in err["message"] and key in err["message"]
         assert not (tmp_path / "resumed").exists()
 
+    @pytest.mark.parametrize("key,value", [("archive_cap", 0), ("mu", 30), ("threshold", 1.5)])
+    def test_checkpoint_value_out_of_range_exits_2(self, toy_manifest, tmp_path, capsys,
+                                                   key, value):
+        # a checkpoint config that TrainConfig refuses (mu 30 is not below
+        # lambda_pop 24) is a bad checkpoint, not a bad setting
+        out = tmp_path / "two"
+        assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
+                        "--embedding", 3, "--lambda-pop", 24, "--mu", 6, "--out", out]) == 0
+        edit_meta(out, with_config(**{key: value}))
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", out,
+                        "--out", tmp_path / "resumed"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "state.npz" in err["message"] and key in err["message"]
+        assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("entries", [
+        # the previous format also stored the optimizer's constants and the loss keys
+        lambda cma: dict(sigma=cma.sigma, lambda_pop=cma.lambda_pop, mu=cma.mu,
+                         weights=cma.weights, c_cov=cma.c_cov,
+                         best_keys=np.array(sorted(trainer.LOSS_KEYS))),
+        # a step size that the checkpoint's config (sigma 0.3) contradicts
+        lambda cma: dict(sigma=0.5),
+    ], ids=["previous-format", "sigma-0.5"])
+    def test_resume_takes_the_optimizer_constants_from_the_config(
+            self, toy_manifest, tmp_path, capsys, entries):
+        # entries for the optimizer's constants in state.npz are ignored: the
+        # resume equals the direct run and a replay of its resolved_config.json
+        args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
+                "--lambda-pop", 24, "--mu", 6]
+        assert run_cli(args + ["--epochs", 2, "--out", tmp_path / "two"]) == 0
+        assert run_cli(args + ["--epochs", 4, "--out", tmp_path / "four"]) == 0
+        path = tmp_path / "two" / "state.npz"
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        cma = trainer.load_checkpoint(tmp_path / "two")[0].cma
+        np.savez(path, **{**arrays, **entries(cma)})
+        assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
+                        "--epochs", 4, "--out", tmp_path / "resumed"]) == 0
+        assert run_cli(["train", "--config", tmp_path / "resumed" / "resolved_config.json",
+                        "--out", tmp_path / "replay"]) == 0
+        for run in ("resumed", "replay"):
+            for name in ("summary.json", "curves.csv", "incumbent.model"):
+                assert ((tmp_path / run / name).read_bytes()
+                        == (tmp_path / "four" / name).read_bytes()), (run, name)
+
     def test_config_file_not_an_object_exits_2(self, toy_manifest, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -620,7 +666,8 @@ class TestTrain:
             dataset = cli._prepare_dataset(toy_manifest, seed)
             res = trainer.train(dataset, trainer.TrainConfig(
                 seed=seed, epochs=200, embedding=4, lambda_pop=16, mu=4, c_cov=0.1))
-            return res.final_test.l1 <= 0.05 and res.final.validation.l1 <= 0.1
+            test_l1 = trainer.evaluate(res.final.params, dataset, "test")[0].l1
+            return test_l1 <= 0.05 and res.final.validation.l1 <= 0.1
 
         passed = seed_panel.run_panel(run)
         _, _, p = seed_panel.sign_test(passed)

@@ -6,7 +6,7 @@ import pytest
 
 from hvml import data, synth
 from hvml.data import (Dataset, compute_stats, load_arff, load_csv, load_manifest,
-                       normalize, stratified_split, write_csv)
+                       normalize, stratified_split)
 from hvml.errors import ConfigError, ParseError
 
 TOY_ARFF = """% toy multi-label file
@@ -284,7 +284,7 @@ class TestCsv:
             load_csv(tmp_path / "x.csv", tmp_path / "y.csv")
         assert f"{tmp_path / 'x.csv'}:4: " in str(err.value)
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, write_csv):
         ds = synth.linear_multilabel(n=40, d=6, k=3, seed=5)
         write_csv(ds, tmp_path / "x.csv", tmp_path / "y.csv")
         back = load_csv(tmp_path / "x.csv", tmp_path / "y.csv")
