@@ -3,10 +3,11 @@
 Subcommands: train, hv, stats, report, sweep, eval; each takes only the
 flags it reads. train and sweep resolve their configuration in layers, later
 ones winning: a resumed checkpoint's config, the --config JSON file, then
-the flags. Every command writes its resolved config next to its outputs so
-the run can be reproduced exactly, and exits with a stable code: 0 success,
-2 input error, 3 precondition error, 4 numeric failure. Failures emit a
-machine-readable error JSON on stdout.
+the flags. eval takes its model, and the seed (so the split) and threshold,
+from a run's checkpoint. Every command writes its resolved config next to
+its outputs so the run can be reproduced exactly, and exits with a stable
+code: 0 success, 2 input error, 3 precondition error, 4 numeric failure.
+Failures emit a machine-readable error JSON on stdout.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERIC = 4
 
 _INPUT_ERRORS = (ParseError, DimensionError, FileNotFoundError, IsADirectoryError,
-                 PermissionError, KeyError)
+                 NotADirectoryError, PermissionError, KeyError)
 _PRECONDITION_ERRORS = (ConfigError, GridError, UndefinedMetricError, ValueError)
 _NUMERIC_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
 
@@ -103,6 +104,14 @@ def _prepare_dataset(manifest_path, seed: int) -> data.Dataset:
     return data.normalize(ds)
 
 
+def _check_width(command: str, dataset: data.Dataset, state: trainer.TrainState) -> None:
+    """Refuse a dataset whose feature or label count is not the checkpoint model's."""
+    if (dataset.d, dataset.k) != (state.shape.d, state.shape.k):
+        raise DimensionError(f"{command}: the manifest has {dataset.d} features and {dataset.k} "
+                             f"labels, the checkpoint's model {state.shape.d} and "
+                             f"{state.shape.k}")
+
+
 def _train_config(resolved: dict) -> trainer.TrainConfig:
     return trainer.TrainConfig(**{k: v for k, v in resolved.items() if k in trainer.FIELD_TYPES})
 
@@ -125,11 +134,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"resume: epochs {config.epochs} is below the checkpoint's "
                           f"epoch {resume_state.epoch}")
     dataset = _prepare_dataset(resolved["manifest"], config.seed)
-    if resume_state is not None and (dataset.d, dataset.k) != (resume_state.shape.d,
-                                                                resume_state.shape.k):
-        raise DimensionError(f"resume: the manifest has {dataset.d} features and {dataset.k} "
-                             f"labels, the checkpoint's model {resume_state.shape.d} and "
-                             f"{resume_state.shape.k}")
+    if resume_state is not None:
+        _check_width("resume", dataset, resume_state)
     state = resume_state if resume_state is not None else trainer.initial_state(dataset, config)
     # written only once the run is accepted, so a refused run leaves the
     # resolved config of the run already in --out as it was
@@ -282,16 +288,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .model import load_model
-    params = load_model(_expand_path(args.checkpoint))
-    resolved = {"checkpoint": str(args.checkpoint), "manifest": str(args.manifest),
-                "split": args.split, "threshold": args.threshold, "seed": args.seed}
-    if resolved["seed"] is None:
-        raise ConfigError("eval requires the seed that produced the split (--seed)")
+    # the run's checkpoint gives the model, and the seed (so the split) and
+    # threshold it was trained with
+    state, config = trainer.load_checkpoint(_expand_path(args.checkpoint))
+    dataset = _prepare_dataset(args.manifest, config.seed)
+    _check_width("eval", dataset, state)
     out = _out_dir(args, "eval")
-    _write_resolved(out, "eval", resolved)
-    dataset = _prepare_dataset(args.manifest, args.seed)
-    lv, bce = trainer.evaluate(params, dataset, args.split, args.threshold)
+    _write_resolved(out, "eval", {"checkpoint": str(args.checkpoint),
+                                  "manifest": str(args.manifest), "split": args.split,
+                                  "threshold": config.threshold, "seed": config.seed})
+    lv, bce = trainer.evaluate(state.incumbent.params, dataset, args.split, config.threshold)
     payload = _losses_json(lv, bce)
     (out / "eval.json").write_text(json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
@@ -360,13 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-list", type=_int_list, help="comma-separated embedding dimensions")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("eval", help="evaluate a model checkpoint on one split")
+    p = sub.add_parser("eval", help="evaluate a run's incumbent on one split")
     _add_out(p)
-    p.add_argument("--seed", type=int, help="root seed of the run that made the split")
-    p.add_argument("--checkpoint", required=True, help="binary model checkpoint")
+    p.add_argument("--checkpoint", required=True,
+                   help="run directory whose checkpoint gives the model, seed and threshold")
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=("train", "validation", "test"), default="test")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -20,17 +20,13 @@ candidate. The checked-once and per-call inputs give bit-identical scores.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, ParseError
+from .errors import DimensionError, NumericError
 
 ROW_STD_EPS = 1e-8
-
-CHECKPOINT_MAGIC = b"HVML"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -73,24 +69,11 @@ class ModelParams:
         return cls(np.zeros(shape.n_params), shape)
 
 
-def pack(e, b_e, w, b_w, dec, b_dec) -> np.ndarray:
-    """Concatenate the six weight blocks into one flat vector (row-major)."""
-    return np.concatenate([
-        np.asarray(e, dtype=float).ravel(),
-        np.asarray(b_e, dtype=float).ravel(),
-        np.asarray(w, dtype=float).ravel(),
-        np.asarray(b_w, dtype=float).ravel(),
-        np.asarray(dec, dtype=float).ravel(),
-        np.asarray(b_dec, dtype=float).ravel(),
-    ])
-
-
 def unpack(params: ModelParams):
-    """Split a flat vector back into (E, b_e, W, b_w, Dec, b_dec) views."""
+    """Split the flat vector into (E, b_e, W, b_w, Dec, b_dec) views, the blocks
+    laid out in that order, each row-major."""
     d, c, k = params.shape.d, params.shape.c, params.shape.k
     flat = params.flat
-    if flat.size != params.shape.n_params:
-        raise DimensionError(f"flat length {flat.size} does not match shape {params.shape}")
     o1 = d * c
     o2 = o1 + c
     o3 = o2 + c * c
@@ -173,33 +156,3 @@ def forward(params: ModelParams, x) -> np.ndarray:
     a = h @ dec
     a += b_dec
     return _sigmoid(a)
-
-
-def save_model(params: ModelParams, path) -> None:
-    """Write a checkpoint: 4-byte magic, version byte, (d, c, k) header as
-    little-endian uint32, then the flat vector as little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(struct.pack("<III", params.shape.d, params.shape.c, params.shape.k))
-        fh.write(params.flat.astype("<f8").tobytes())
-
-
-def load_model(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ParseError(f"bad checkpoint magic {magic!r}", path=str(path))
-        version = fh.read(1)
-        if version != bytes([CHECKPOINT_VERSION]):
-            raise ParseError(f"unsupported checkpoint version {version!r}", path=str(path))
-        d, c, k = struct.unpack("<III", fh.read(12))
-        shape = ModelShape(d, c, k)
-        data = fh.read()
-    flat = np.frombuffer(data, dtype="<f8")
-    if flat.size != shape.n_params:
-        raise ParseError(
-            f"checkpoint carries {flat.size} parameters, shape {shape} needs {shape.n_params}",
-            path=str(path),
-        )
-    return ModelParams(flat.astype(float), shape)

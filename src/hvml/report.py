@@ -99,15 +99,12 @@ def geometric_means(table: ResultsTable) -> dict[tuple[str, str], float]:
     return {key: losses.geometric_mean(vec) for key, vec in table.cells.items()}
 
 
-def method_medians(table: ResultsTable, values=None) -> dict[str, float]:
-    """Per-method median over datasets; even counts use the midpoint.
-
-    ``values`` defaults to the table's external aggregate column when
-    present, otherwise to recomputed geometric means.
-    """
+def method_medians(table: ResultsTable) -> dict[str, float]:
+    """Per-method median over datasets of the table's external aggregate
+    column when present, otherwise of recomputed geometric means; even
+    counts use the midpoint."""
     table.require_full_grid()
-    if values is None:
-        values = table.aggregates if table.aggregates is not None else geometric_means(table)
+    values = table.aggregates if table.aggregates is not None else geometric_means(table)
     return {
         m: float(np.median([values[(d, m)] for d in table.datasets]))
         for m in table.methods

@@ -38,7 +38,6 @@ from .losses import LossVector
 LOSS_KEYS = ("l1", "l2", "l3", "l4")
 
 STATE_FILE = "state.npz"
-MODEL_FILE = "incumbent.model"
 CURVES_HEADER = ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness"]
 
 
@@ -299,20 +298,20 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
     incumbent and per-loss bests (``params`` and ``params_meta``: row 0 the
     incumbent, then one row per ``LOSS_KEYS`` entry) and the curve records.
     The optimizer's constants are not stored: they follow from the config.
-    ``incumbent.model`` exports the incumbent in the binary model format for
-    ``hvml eval``; resuming does not read it.
+    ``state.npz`` is the only file written: ``hvml eval`` reads the incumbent
+    from it too.
 
-    Each file is written under a temporary name and renamed over the old one,
-    ``state.npz`` first, so one rename commits the checkpoint: a failed save
-    leaves the previous ``state.npz`` whole, and no file is ever half-written."""
+    The file is written under a temporary name and renamed over the old one,
+    so the one rename commits the checkpoint: a failed save leaves the
+    previous ``state.npz`` whole, and no file is ever half-written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     held = [state.incumbent, *(state.best_per_loss[k] for k in LOSS_KEYS)]
     meta = {"epoch": state.epoch, "shape": [state.shape.d, state.shape.c, state.shape.k],
             "config": asdict(config)}
-    tmp_state, tmp_model = out / (STATE_FILE + ".tmp"), out / (MODEL_FILE + ".tmp")
+    tmp = out / (STATE_FILE + ".tmp")
     try:
-        with open(tmp_state, "wb") as fh:
+        with open(tmp, "wb") as fh:
             np.savez(
                 fh, meta=json.dumps(meta),
                 mean=state.cma.mean, cov_steps=state.cma.cov_steps,
@@ -326,12 +325,9 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
                                   r.validation_bce, r.fitness] for r in state.curves],
                                 dtype=float).reshape(-1, CURVE_COLUMNS),
             )
-        os.replace(tmp_state, out / STATE_FILE)
-        model.save_model(state.incumbent.params, tmp_model)
-        os.replace(tmp_model, out / MODEL_FILE)
+        os.replace(tmp, out / STATE_FILE)
     finally:
-        for tmp in (tmp_state, tmp_model):
-            tmp.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:

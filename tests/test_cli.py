@@ -86,7 +86,7 @@ class TestStats:
 
 class TestFlags:
     REQUIRED = {"stats": ["--manifest", "m.json"], "report": ["r.csv"], "hv": ["f.csv"],
-                "eval": ["--checkpoint", "c.model", "--manifest", "m.json"],
+                "eval": ["--checkpoint", "run", "--manifest", "m.json"],
                 "train": [], "sweep": []}
 
     @pytest.mark.parametrize("command,flag", [
@@ -95,6 +95,7 @@ class TestFlags:
         ("report", ["--workers", "2"]),
         ("hv", ["--workers", "2"]), ("hv", ["--config", "c.json"]),
         ("eval", ["--workers", "2"]), ("eval", ["--config", "c.json"]),
+        ("eval", ["--seed", "5"]), ("eval", ["--threshold", "0.5"]),
         ("train", ["--literal-cma"]), ("train", ["--sigma-rule", "fifth"]),
         ("sweep", ["--literal-cma"]), ("sweep", ["--embedding", "3"]),
         ("train", ["--workers", "2"]), ("sweep", ["--workers", "2"]),
@@ -249,9 +250,9 @@ class TestTrain:
         assert set(summary["per_loss"]) == {"l1", "l2", "l3", "l4"}
         curves = (out / "curves.csv").read_text().strip().splitlines()
         assert len(curves) == 1 + 2 * 2 * 8  # header + 2 epochs x 8 candidates x 2 splits
-        for name in ("resolved_config.json", "incumbent.model", "state.npz"):
-            assert (out / name).exists()
+        assert (out / "resolved_config.json").exists() and (out / "state.npz").exists()
         assert not (out / "checkpoint.json").exists()
+        assert not (out / "incumbent.model").exists()
 
     def test_zero_epochs_neutral_summary(self, toy_manifest, tmp_path, capsys):
         out = tmp_path / "run"
@@ -343,20 +344,55 @@ class TestTrain:
         resolved = tmp_path / "a" / "resolved_config.json"
         assert json.loads(resolved.read_text())["archive_cap"] == 4
         assert run_cli(["train", "--config", resolved, "--out", tmp_path / "b"]) == 0
-        for name in ("summary.json", "curves.csv", "incumbent.model"):
+        for name in ("summary.json", "curves.csv", "state.npz"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_eval_round_trip(self, toy_manifest, tmp_path, capsys):
+        # eval takes the seed (so the split) and the threshold from the run's
+        # checkpoint, and scores the incumbent as the run's summary does
+        out = tmp_path / "run"
+        assert run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 5,
+                        "--epochs", 1, "--embedding", 3, "--lambda-pop", 8, "--mu", 3,
+                        "--threshold", 0.6]) == 0
+        train_summary = json.loads((out / "summary.json").read_text())
+        eval_out = tmp_path / "eval"
+        assert run_cli(["eval", "--checkpoint", out, "--manifest", toy_manifest,
+                        "--split", "test", "--out", eval_out]) == 0
+        assert json.loads((eval_out / "eval.json").read_text()) == train_summary["final"]["test"]
+        resolved = json.loads((eval_out / "resolved_config.json").read_text())
+        assert (resolved["seed"], resolved["threshold"]) == (5, 0.6)
+
+    def test_eval_onto_manifest_of_another_width_exits_2(self, toy_manifest, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 5,
                         "--epochs", 1, "--embedding", 3, "--lambda-pop", 8, "--mu", 3]) == 0
-        train_summary = json.loads((out / "summary.json").read_text())
-        eval_out = tmp_path / "eval"
-        assert run_cli(["eval", "--checkpoint", out / "incumbent.model",
-                        "--manifest", toy_manifest, "--split", "test",
-                        "--seed", 5, "--out", eval_out]) == 0
-        payload = json.loads((eval_out / "eval.json").read_text())
-        assert payload["l1"] == pytest.approx(train_summary["final"]["test"]["l1"])
+        lines = (tmp_path / "x.csv").read_text().splitlines()
+        (tmp_path / "wide_x.csv").write_text("".join(f"{r},{r.split(',')[0]}\n" for r in lines))
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"name": "wide", "csv_paths": ["wide_x.csv", "y.csv"]}))
+        capsys.readouterr()
+        assert run_cli(["eval", "--checkpoint", out, "--manifest", wide,
+                        "--out", tmp_path / "eval"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "DimensionError" and "eval" in err["message"]
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("command,flag", [("train", "--resume"), ("eval", "--checkpoint")])
+    @pytest.mark.parametrize("name", ["state.npz", "incumbent.model"])
+    def test_checkpoint_given_a_file_path_exits_2(self, toy_manifest, tmp_path, capsys,
+                                                  command, flag, name):
+        # a checkpoint is a run directory; a file in one (state.npz, or the
+        # incumbent.model of an older version) is an input error naming it
+        out = tmp_path / "run"
+        assert run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 5,
+                        "--epochs", 1, "--embedding", 3, "--lambda-pop", 8, "--mu", 3]) == 0
+        (out / name).touch()
+        capsys.readouterr()
+        assert run_cli([command, "--manifest", toy_manifest, flag, out / name,
+                        "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert str(out / name) in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_resume_from_checkpoint(self, toy_manifest, tmp_path, capsys):
         out = tmp_path / "run"
@@ -375,7 +411,7 @@ class TestTrain:
         assert run_cli(args + ["--epochs", 4, "--out", tmp_path / "four"]) == 0
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", tmp_path / "two",
                         "--epochs", 4, "--out", tmp_path / "resumed"]) == 0
-        for name in ("summary.json", "curves.csv", "incumbent.model"):
+        for name in ("summary.json", "curves.csv", "state.npz"):
             assert ((tmp_path / "resumed" / name).read_bytes()
                     == (tmp_path / "four" / name).read_bytes()), name
         resolved = json.loads((tmp_path / "resumed" / "resolved_config.json").read_text())
@@ -386,20 +422,19 @@ class TestTrain:
 
     def test_resume_from_files_of_two_runs_follows_the_state(self, toy_manifest, tmp_path,
                                                              capsys):
-        # the state.npz and incumbent.model of a 4-epoch run copied into a
-        # 2-epoch run's directory (its curves.csv kept): the resume follows
-        # the one file it reads and equals a direct 6-epoch run
+        # the state.npz of a 4-epoch run copied into a 2-epoch run's
+        # directory (its curves.csv kept): the resume follows the one file it
+        # reads and equals a direct 6-epoch run
         args = ["train", "--manifest", toy_manifest, "--seed", 5, "--embedding", 3,
                 "--lambda-pop", 8, "--mu", 3]
         for epochs, name in ((2, "two"), (4, "four"), (6, "six")):
             assert run_cli(args + ["--epochs", epochs, "--out", tmp_path / name]) == 0
         mixed = tmp_path / "mixed"
         shutil.copytree(tmp_path / "two", mixed)
-        for name in ("state.npz", "incumbent.model"):
-            shutil.copy(tmp_path / "four" / name, mixed / name)
+        shutil.copy(tmp_path / "four" / "state.npz", mixed / "state.npz")
         assert run_cli(["train", "--manifest", toy_manifest, "--resume", mixed,
                         "--epochs", 6, "--out", tmp_path / "resumed"]) == 0
-        for name in ("summary.json", "curves.csv", "incumbent.model"):
+        for name in ("summary.json", "curves.csv", "state.npz"):
             assert ((tmp_path / "resumed" / name).read_bytes()
                     == (tmp_path / "six" / name).read_bytes()), name
 
@@ -628,7 +663,7 @@ class TestTrain:
         assert run_cli(["train", "--config", tmp_path / "resumed" / "resolved_config.json",
                         "--out", tmp_path / "replay"]) == 0
         for run in ("resumed", "replay"):
-            for name in ("summary.json", "curves.csv", "incumbent.model"):
+            for name in ("summary.json", "curves.csv", "state.npz"):
                 assert ((tmp_path / run / name).read_bytes()
                         == (tmp_path / "four" / name).read_bytes()), (run, name)
 
@@ -650,12 +685,16 @@ class TestTrain:
         assert err["error"] == "ParseError" and "bad.json" in err["message"]
 
     def test_corrupt_checkpoint_numeric_failure_exits_4(self, toy_manifest, tmp_path, capsys):
-        import struct
-        bad = tmp_path / "bad.model"
-        payload = struct.pack("<d", float("nan")) * 7
-        bad.write_bytes(b"HVML" + bytes([1]) + struct.pack("<III", 2, 1, 1) + payload)
-        code = run_cli(["eval", "--checkpoint", bad, "--manifest", toy_manifest,
-                        "--seed", 1, "--out", tmp_path / "o"])
+        # a NaN in the incumbent's parameters (row 0 of params)
+        out = tmp_path / "run"
+        assert run_cli(["train", "--manifest", toy_manifest, "--out", out, "--seed", 5,
+                        "--epochs", 1, "--embedding", 3, "--lambda-pop", 8, "--mu", 3]) == 0
+        with np.load(out / "state.npz") as blob:
+            arrays = dict(blob)
+        arrays["params"][0, 0] = np.nan
+        np.savez(out / "state.npz", **arrays)
+        code = run_cli(["eval", "--checkpoint", out, "--manifest", toy_manifest,
+                        "--out", tmp_path / "o"])
         assert code == 4
 
     def test_copy_task_learns_through_cli(self, toy_manifest, tmp_path, capsys):

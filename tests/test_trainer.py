@@ -493,13 +493,10 @@ class TestCheckpoint:
                                           "params_meta"]
 
     def test_checkpoint_files(self, toy_dataset, tmp_path):
-        # the whole checkpoint is state.npz; incumbent.model exports the incumbent
+        # the whole checkpoint is state.npz, and it is the only file written
         res = train(toy_dataset, tiny_config(epochs=2))
         trainer.save_checkpoint(res.state, tiny_config(epochs=2), tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [trainer.MODEL_FILE,
-                                                               trainer.STATE_FILE]
-        params = model.load_model(tmp_path / trainer.MODEL_FILE)
-        assert np.array_equal(params.flat, res.final.params.flat)
+        assert [p.name for p in tmp_path.iterdir()] == [trainer.STATE_FILE]
         state, _ = trainer.load_checkpoint(tmp_path)
         assert np.array_equal(state.incumbent.params.flat, res.final.params.flat)
         assert state.curves == res.curves
