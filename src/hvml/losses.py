@@ -17,7 +17,8 @@ is never optimized. Conventions that are not forced by the definitions:
   are skipped;
 * micro F1 of two all-negative matrices is 1 (no possible error occurred);
 * BCE is the mean over samples of per-sample sums over labels, with scores
-  clipped to [1e-7, 1 - 1e-7] before the logarithm.
+  clipped to [1e-7, 1 - 1e-7]; each entry takes one logarithm, of the clipped
+  probability of its true value: log(p) at a positive, log1p(-p) at a negative.
 
 Every loss takes plain matrices, which it checks on each call, or a
 ``Truth`` and ``Scores`` prepared once: the trainer checks and indexes each
@@ -69,18 +70,20 @@ class Truth:
     """A binary label matrix, checked once and indexed for the losses.
 
     Holds the boolean matrix, the row and the flat (row * K + label) index
-    of each positive entry in row-major order, the truth row of each
+    of each positive entry in row-major order, the flat index of each
+    negative entry, the truth row of each
     positive as a K x positives matrix, and each positive's LRAP weight
     1 / (positives in its row * rows with a positive), so that LRAP is the
     weighted sum of the positives' precisions. Every loss accepts a Truth
     wherever it accepts a plain truth matrix.
     """
 
-    __slots__ = ("matrix", "rows", "flat", "row_truth", "weights", "positives")
+    __slots__ = ("matrix", "rows", "flat", "neg_flat", "row_truth", "weights", "positives")
 
     def __init__(self, truth):
         self.matrix = _binary("truth", truth)
         self.flat = np.flatnonzero(self.matrix)
+        self.neg_flat = np.flatnonzero(~self.matrix)
         self.rows = self.flat // self.matrix.shape[1]
         self.row_truth = np.ascontiguousarray(self.matrix[self.rows].T)
         self.positives = int(self.rows.size)
@@ -171,12 +174,17 @@ def micro_f1(pred, truth) -> float:
 
 
 def bce(scores, truth) -> float:
-    """Binary cross-entropy: mean over samples of the per-sample sum over labels."""
+    """Binary cross-entropy: mean over samples of the per-sample sum over
+    labels, with one logarithm per entry: log(p) over the positives' and
+    log1p(-p) over the negatives' clipped scores, each gathered by flat index."""
     s = _scores(scores)
     t = _truth(truth, s)
     p = np.clip(s, BCE_EPS, 1.0 - BCE_EPS)
-    per_sample = -np.where(t.matrix, np.log(p), np.log1p(-p)).sum(axis=1)
-    return float(per_sample.mean())
+    pos, neg = p.take(t.flat), p.take(t.neg_flat)
+    np.log(pos, out=pos)
+    np.negative(neg, out=neg)
+    np.log1p(neg, out=neg)
+    return -float(pos.sum() + neg.sum()) / s.shape[0]
 
 
 def loss_vector(scores, truth, threshold: float = DEFAULT_THRESHOLD) -> LossVector:

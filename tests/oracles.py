@@ -83,6 +83,15 @@ def split_forward(flat, d, c, k, x):
     return masked_sigmoid(h @ dec.reshape(c, k) + b_dec)
 
 
+def two_log_bce(scores, truth, eps=1e-7):
+    """BCE from both logarithms of every clipped score, log(p) and
+    log1p(-p), one of them kept per entry by the truth (the package's former
+    form): the mean over samples of the per-sample sums."""
+    p = np.clip(np.asarray(scores, dtype=float), eps, 1.0 - eps)
+    per_sample = -np.where(np.asarray(truth) == 1, np.log(p), np.log1p(-p)).sum(axis=1)
+    return float(per_sample.mean())
+
+
 def mean_hamming(pred, truth):
     """Hamming loss as numpy's mean of the mismatch matrix (the package's
     former form)."""

@@ -7,7 +7,7 @@ from hvml import losses
 from hvml.errors import DimensionError, UndefinedMetricError
 
 from oracles import (brute_hamming, brute_lrap, brute_micro_f1, cube_lrap, gather_lrap,
-                     mean_hamming)
+                     mean_hamming, two_log_bce)
 
 
 class TestBinarize:
@@ -217,6 +217,7 @@ class TestTruth:
     def test_indexes_positives_row_major(self):
         t = losses.Truth([[0, 1, 1], [0, 0, 0], [1, 0, 0]])
         assert t.rows.tolist() == [0, 0, 2] and t.flat.tolist() == [1, 2, 6]
+        assert t.neg_flat.tolist() == [0, 3, 4, 5, 7, 8]
         assert t.positives == 3
         # two counted rows: a row with two positives weighs 1/4 each
         assert t.weights.tolist() == [0.25, 0.25, 0.5]
@@ -314,6 +315,25 @@ class TestPreparedTruthMatchesOracles:
                                for j in range(14)) for i in range(30)])
         got = losses.bce(losses.Scores(scores), losses.Truth(truth))
         assert got == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 6, 14, 53])
+    def test_bce_within_tolerance_of_two_log_form(self, k):
+        # continuous and 0.1-grid scores, then the clipping edges 0, 1, eps and
+        # 1 - eps, each on all-positive and all-negative rows, alone and mixed
+        rng = np.random.default_rng(3000 + k)
+        eps = losses.BCE_EPS
+        cases = [(rng.random((40, k)), _grid_case(rng, 40, k)[1]), _grid_case(rng, 40, k)]
+        for edge in (0.0, 1.0, eps, 1.0 - eps):
+            for label in (0, 1):
+                cases.append((np.full((5, k), edge), np.full((5, k), label)))
+        edges = rng.choice([0.0, 1.0, eps, 1.0 - eps], (12, k))
+        labels = np.repeat([[0], [1]], 6, axis=0) * np.ones(k, dtype=int)
+        cases.append((edges, labels))
+        for scores, truth in cases:
+            want = two_log_bce(scores, truth)
+            assert losses.bce(scores, truth) == pytest.approx(want, rel=1e-12, abs=0)
+            assert losses.bce(losses.Scores(scores), losses.Truth(truth)) == \
+                pytest.approx(want, rel=1e-12, abs=0)
 
     def test_lrap_matches_cube_on_continuous_scores(self):
         rng = np.random.default_rng(13)
