@@ -189,9 +189,6 @@ def cmd_hv(args) -> int:
             tag_lines[tag] = lineno
             rows.append((np.array(vec), tag))
     ref = _parse_ref(args.ref) if args.ref else pareto.UNIT_REF
-    out = _out_dir(args, "hv")
-    _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
-                                "mc_samples": args.mc_samples, "seed": args.seed or 0})
     total, contribs = pareto.exact_contributions(rows, ref)
     lines = [f"total_hypervolume {total:.6f}"]
     report_rows = []
@@ -204,6 +201,9 @@ def cmd_hv(args) -> int:
         report_rows.append(entry)
         mc = f" mc={entry['mc_contribution']:.6f}" if "mc_contribution" in entry else ""
         lines.append(f"{tag} contribution={exact:.6f}{mc}")
+    out = _out_dir(args, "hv")
+    _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
+                                "mc_samples": args.mc_samples, "seed": args.seed or 0})
     (out / "hv.json").write_text(json.dumps({"total": total, "rows": report_rows}, indent=2))
     print("\n".join(lines))
     return EXIT_OK
@@ -238,6 +238,8 @@ def cmd_stats(args) -> int:
 
 def cmd_report(args) -> int:
     table = report.ResultsTable.from_csv(_expand_path(args.results))
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
     out = _out_dir(args, "report")
     _write_resolved(out, "report", {"results": str(args.results), "alpha": args.alpha})
     summary = report.write_report(table, out, alpha=args.alpha)

@@ -61,7 +61,6 @@ class CmaState:
     sigma: float
     lambda_pop: int
     mu: int
-    weights: np.ndarray
     c_cov: float
 
     def __post_init__(self):
@@ -76,18 +75,10 @@ class CmaState:
             raise ValueError("population size must be >= 2")
         if not 1 <= self.mu < self.lambda_pop:
             raise ValueError(f"mu must satisfy 1 <= mu < lambda, got mu={self.mu} lambda={self.lambda_pop}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.mu,):
-            raise ValueError(f"need exactly mu={self.mu} weights, got {w.shape}")
-        if (w <= 0).any() or (np.diff(w) >= 0).any() and self.mu > 1:
-            raise ValueError("weights must be strictly decreasing and positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
         if not 0.0 <= self.c_cov < 1.0 + 1e-12:
             raise ValueError(f"c_cov must lie in [0, 1], got {self.c_cov}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov_steps", steps)
-        object.__setattr__(self, "weights", w)
 
     @property
     def n_dims(self) -> int:
@@ -95,7 +86,7 @@ class CmaState:
 
     @classmethod
     def initial(cls, n_dims: int, mean=None, sigma: float = 0.3, lambda_pop=None,
-                mu=None, weights=None, c_cov=None) -> "CmaState":
+                mu=None, c_cov=None) -> "CmaState":
         lam = int(lambda_pop) if lambda_pop is not None else default_lambda(n_dims)
         m = int(mu) if mu is not None else max(1, lam // 2)
         return cls(
@@ -104,7 +95,6 @@ class CmaState:
             sigma=float(sigma),
             lambda_pop=lam,
             mu=m,
-            weights=default_weights(m) if weights is None else np.asarray(weights, dtype=float),
             c_cov=float(c_cov) if c_cov is not None else default_c_cov(n_dims),
         )
 
@@ -148,30 +138,9 @@ def update_covariance(state: CmaState, v: np.ndarray) -> np.ndarray:
 
 def evolve(state: CmaState, ranked_params: np.ndarray) -> CmaState:
     """One full distribution update from the top-mu parameter vectors: the
-    weighted step v = sum_i w_i y_i moves the mean, m' = m + sigma * v, and
-    joins the covariance."""
-    v = state.weights @ ranked_steps(state, ranked_params)
+    weighted step v = sum_i w_i y_i, with w = default_weights(mu), moves the
+    mean, m' = m + sigma * v, and joins the covariance."""
+    v = default_weights(state.mu) @ ranked_steps(state, ranked_params)
     return replace(state, mean=state.mean + state.sigma * v,
                    cov_steps=update_covariance(state, v))
 
-
-def minimize_sphere(dim: int, budget: int, seed, lambda_pop: int = 16, mu: int = 8,
-                    sigma: float = 0.3, c_cov=None) -> float:
-    """Self-test harness: run the full loop on f(x) = ||x||^2 from m = (1,...,1).
-
-    Returns the best function value seen; budget counts epochs (budget 0
-    returns f of the initial mean, which is dim).
-    """
-    state = CmaState.initial(
-        dim, mean=np.ones(dim), sigma=sigma, lambda_pop=lambda_pop, mu=mu,
-        c_cov=c_cov if c_cov is not None else default_c_cov(dim),
-    )
-    best = float(np.sum(state.mean**2))
-    root = np.random.SeedSequence(seed)
-    for epoch in range(int(budget)):
-        pop = sample_population(state, np.random.SeedSequence((root.entropy, epoch)))
-        values = np.sum(pop**2, axis=1)
-        best = min(best, float(values.min()))
-        order = np.argsort(values, kind="stable")  # ascending; ties keep sample order
-        state = evolve(state, pop[order[: state.mu]])
-    return best

@@ -17,15 +17,16 @@ Contribution comes in two flavours that must not be confused:
   it alone is removed (its exclusive region). Weakly dominated points,
   duplicates included, contribute exactly 0.
 * ``hv_decomposition``: a disjoint partition of the whole dominated region,
-  attributing to each point the volume it adds when inserted in front
-  order. These partition contributions always sum to the total volume;
+  returned like ``exact_contributions`` as the total and one part per row in
+  front order, each the volume its row adds when inserted in that order.
+  These parts always sum to the total volume, repeated tags or not;
   exclusive contributions generally do not, because overlap regions belong
   to no single point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,31 +241,25 @@ def exact_contribution(front, tag, ref=UNIT_REF) -> float:
     return float(exact_contributions(front, ref)[1][i])
 
 
-@dataclass
-class HvResult:
-    """Total dominated volume and a disjoint per-tag partition of it."""
+def hv_decomposition(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
+    """Total volume and a disjoint partition of it: one part per row, in
+    front order.
 
-    total: float
-    contributions: dict[str, float] = field(default_factory=dict)
-
-
-def hv_decomposition(front, ref=UNIT_REF) -> HvResult:
-    """Partition the dominated region into disjoint per-point pieces.
-
-    Each point is attributed the volume it adds when inserted in front
-    order, so the pieces are disjoint, cover the whole region, and sum to
-    the total volume (this is the decomposition identity the tests verify
-    against independent oracles). Duplicate and dominated points receive 0.
+    Each row is attributed the volume it adds when inserted in front order,
+    so the parts are disjoint, cover the whole region, and sum to the total
+    volume (this is the decomposition identity the tests verify against
+    independent oracles). A row that an earlier row weakly dominates (an
+    earlier duplicate included) receives 0.
     """
-    pts, tags = _points_tags(front)
+    pts, _ = _points_tags(front)
     ref = _reference(ref)
-    contributions: dict[str, float] = {}
+    parts = np.zeros(pts.shape[0])
     prev_vol = 0.0
-    for i, t in enumerate(tags):
+    for i in range(pts.shape[0]):
         cur_vol = _hv_sweep(pts[: i + 1], ref)
-        contributions[t] = max(0.0, cur_vol - prev_vol)
+        parts[i] = max(0.0, cur_vol - prev_vol)
         prev_vol = cur_vol
-    return HvResult(total=prev_vol, contributions=contributions)
+    return prev_vol, parts
 
 
 def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:

@@ -179,7 +179,7 @@ def _prune_archive(front: pareto.Front, cap: int) -> pareto.Front:
 
 def _initial_cma(shape: model.ModelShape, config: TrainConfig) -> cmaes.CmaState:
     """The search distribution before epoch 1; its constants (sigma, lambda,
-    mu, weights, c_cov) come from the config and the parameter count alone."""
+    mu, c_cov) come from the config and the parameter count alone."""
     return cmaes.CmaState.initial(shape.n_params, sigma=config.sigma,
                                   lambda_pop=config.lambda_pop, mu=config.mu, c_cov=config.c_cov)
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, cli, pareto, synth, trainer
+from hvml import benchmark_results_path, cli, cmaes, pareto, synth, trainer
 from hvml.cli import main
 
 import seed_panel
@@ -167,6 +167,14 @@ class TestHv:
             err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             assert (err["error"], err["exit_code"]) == ("DimensionError", 2)
 
+    @pytest.mark.parametrize("flags,code", [(["--ref", "1,1"], 2), (["--mc-samples", -5], 3)],
+                             ids=["two-component-ref", "negative-mc-samples"])
+    def test_refused_request_writes_nothing(self, tmp_path, capsys, flags, code):
+        front = tmp_path / "front.csv"
+        front.write_text("0.5,0.5,0.5\n")
+        assert run_cli(["hv", front, *flags, "--out", tmp_path / "o"]) == code
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_reference_exits_2(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
         front.write_text("0.5,0.5,0.5\n")
@@ -216,6 +224,15 @@ class TestReport:
         bad = tmp_path / "bad.csv"
         bad.write_text("dataset,method,l1,l2,l3\na,only,0.1,0.2,0.3\nb,only,0.2,0.3,0.4\n")
         assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 3
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0])
+    def test_alpha_outside_unit_interval_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                                    alpha):
+        assert run_cli(["report", benchmark_results_path(), "--alpha", alpha,
+                        "--out", tmp_path / "o"]) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "--alpha" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_incomplete_grid_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -640,7 +657,7 @@ class TestTrain:
     @pytest.mark.parametrize("entries", [
         # the previous format also stored the optimizer's constants and the loss keys
         lambda cma: dict(sigma=cma.sigma, lambda_pop=cma.lambda_pop, mu=cma.mu,
-                         weights=cma.weights, c_cov=cma.c_cov,
+                         weights=cmaes.default_weights(cma.mu), c_cov=cma.c_cov,
                          best_keys=np.array(sorted(trainer.LOSS_KEYS))),
         # a step size that the checkpoint's config (sigma 0.3) contradicts
         lambda cma: dict(sigma=0.5),

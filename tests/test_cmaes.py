@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from hvml.cmaes import (CmaState, covariance_weights, default_weights, evolve,
-                        minimize_sphere, ranked_steps, sample_population,
-                        update_covariance)
+                        ranked_steps, sample_population, update_covariance)
 
 from oracles import dense_covariance
+from sphere import minimize_sphere
 
 
-def small_state(n=2, lam=8, mu=4, sigma=0.5, c_cov=0.2, weights=None):
-    return CmaState.initial(n, sigma=sigma, lambda_pop=lam, mu=mu, c_cov=c_cov,
-                            weights=weights)
+def small_state(n=2, lam=8, mu=4, sigma=0.5, c_cov=0.2):
+    return CmaState.initial(n, sigma=sigma, lambda_pop=lam, mu=mu, c_cov=c_cov)
 
 
 def low_rank_cov(state):
@@ -22,7 +21,8 @@ def low_rank_cov(state):
 
 
 def updated(state, steps):
-    return replace(state, cov_steps=update_covariance(state, state.weights @ steps[: state.mu]))
+    v = default_weights(state.mu) @ steps[: state.mu]
+    return replace(state, cov_steps=update_covariance(state, v))
 
 
 class TestWeights:
@@ -33,12 +33,6 @@ class TestWeights:
         assert (w > 0).all()
         assert (np.diff(w) < 0).all() or mu == 1
         assert w.sum() == pytest.approx(1.0)
-
-    def test_state_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            small_state(weights=np.array([0.25, 0.25, 0.25, 0.25]))
-        with pytest.raises(ValueError):
-            small_state(weights=np.array([0.7, 0.4, -0.05, -0.05]))
 
 
 class TestSampling:
@@ -77,8 +71,7 @@ class TestSampling:
     def test_sampling_survives_rank_deficient_covariance(self):
         # c_cov = 1 leaves C = v v^T: all spread lies along v
         state = CmaState(mean=np.zeros(2), cov_steps=np.array([[1.0, 0.0]]),
-                         sigma=1.0, lambda_pop=4, mu=2,
-                         weights=default_weights(2), c_cov=1.0)
+                         sigma=1.0, lambda_pop=4, mu=2, c_cov=1.0)
         pop = sample_population(state, 0)
         assert np.isfinite(pop).all()
         assert (pop[:, 1] == 0.0).all() and (pop[:, 0] != 0.0).all()
@@ -97,10 +90,12 @@ class TestMeanUpdate:
         assert evolve(state, pop).mean == pytest.approx(state.mean)
 
     def test_weighted_sum_by_hand(self):
-        state = CmaState.initial(2, sigma=1.0, lambda_pop=4, mu=2, c_cov=0.1,
-                                 weights=np.array([0.75, 0.25]))
+        # default_weights(2): log(3) - log(1) and log(3) - log(2), over their sum log(4.5)
+        state = CmaState.initial(2, sigma=1.0, lambda_pop=4, mu=2, c_cov=0.1)
         top = state.mean + np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert evolve(state, top).mean == pytest.approx(state.mean + [0.75, 0.25])
+        w = np.array([np.log(3.0), np.log(1.5)]) / np.log(4.5)
+        assert w == pytest.approx([0.7304, 0.2696], abs=1e-4)
+        assert evolve(state, top).mean == pytest.approx(state.mean + w)
 
     def test_too_few_candidates(self):
         state = small_state(mu=4)

@@ -271,18 +271,34 @@ class TestDecomposition:
         for _ in range(300):
             pts = rng.random((rng.integers(1, 9), 3))
             front = [(p, str(i)) for i, p in enumerate(pts)]
-            res = hv_decomposition(front)
-            assert res.total == pytest.approx(exact_hypervolume(tagged(pts)), rel=1e-12, abs=1e-15)
-            assert sum(res.contributions.values()) == pytest.approx(res.total, rel=1e-9, abs=1e-15)
-            assert all(c >= 0 for c in res.contributions.values())
+            total, parts = hv_decomposition(front)
+            assert total == pytest.approx(exact_hypervolume(tagged(pts)), rel=1e-12, abs=1e-15)
+            assert parts.shape == (len(pts),)
+            assert parts.sum() == pytest.approx(total, rel=1e-9, abs=1e-15)
+            assert (parts >= 0).all()
+
+    def test_repeated_tags_get_one_part_per_row(self):
+        # tags are provenance, not keys: two rows tagged "a" keep a part each
+        total, parts = hv_decomposition([((0.2, 0.8, 0.5), "a"), ((0.8, 0.2, 0.5), "a")])
+        assert total == pytest.approx(0.14, abs=1e-15)
+        assert parts.tolist() == pytest.approx([0.08, 0.06], abs=1e-15)
+        assert parts.sum() == pytest.approx(total, abs=1e-15)
+
+    def test_parts_follow_front_order(self):
+        # a row gets what it adds to the rows before it: a dominated row
+        # first keeps its box, and one after its dominator gets 0
+        lo, hi = (0.2, 0.2, 0.2), (0.5, 0.5, 0.5)
+        assert hv_decomposition([(hi, "hi"), (lo, "lo")])[1].tolist() == \
+            pytest.approx([0.125, 0.512 - 0.125], abs=1e-15)
+        assert hv_decomposition([(lo, "lo"), (hi, "hi")])[1].tolist() == [pytest.approx(0.512), 0.0]
 
     def test_matches_grid_oracle_on_lattice_fronts(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             pts = rng.integers(0, 200, (rng.integers(1, 9), 3)) / 200.0
             front = [(p, str(i)) for i, p in enumerate(pts)]
-            res = hv_decomposition(front)
-            assert res.total == pytest.approx(grid_hv(pts, 200), rel=1e-12, abs=1e-15)
+            total, _ = hv_decomposition(front)
+            assert total == pytest.approx(grid_hv(pts, 200), rel=1e-12, abs=1e-15)
 
 
 class TestMcContribution:
