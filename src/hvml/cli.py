@@ -82,13 +82,12 @@ def _expand_path(p):
 
 
 def _out_dir(args, command: str) -> Path:
-    out = getattr(args, "out", None) or f"hvml_out/{command}"
-    out = _expand_path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The --out directory (default hvml_out/<command>); ``_write_resolved`` creates it."""
+    return _expand_path(getattr(args, "out", None) or f"hvml_out/{command}")
 
 
 def _write_resolved(out: Path, command: str, resolved: dict) -> None:
+    out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(
         json.dumps({"command": command, **resolved}, indent=2, sort_keys=True))
 
@@ -167,8 +166,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_hv(args) -> int:
+    if args.mc_samples is not None and args.mc_samples < 0:
+        raise ConfigError(f"--mc-samples must be >= 0, got {args.mc_samples}")
     path = _expand_path(args.front)
-    rows = []
+    vecs = []
     tag_lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
@@ -179,7 +180,7 @@ def cmd_hv(args) -> int:
             if len(cells) < 3:
                 raise ParseError(f"need at least 3 loss columns, got {len(cells)}", path, lineno)
             try:
-                vec = [float(c) for c in cells[-3:]]
+                vecs.append([float(c) for c in cells[-3:]])
             except ValueError:
                 raise ParseError(f"non-numeric loss value in row {cells!r}", path, lineno) from None
             tag = cells[0] if len(cells) > 3 else f"row{lineno}"
@@ -187,16 +188,16 @@ def cmd_hv(args) -> int:
                 raise ParseError(f"tag {tag!r} already names the row on line "
                                  f"{tag_lines[tag]}", path, lineno)
             tag_lines[tag] = lineno
-            rows.append((np.array(vec), tag))
+    front = pareto.Front(np.array(vecs), tuple(tag_lines))
     ref = _parse_ref(args.ref) if args.ref else pareto.UNIT_REF
-    total, contribs = pareto.exact_contributions(rows, ref)
+    total, contribs = pareto.exact_contributions(front, ref)
     lines = [f"total_hypervolume {total:.6f}"]
     report_rows = []
-    for (vec, tag), exact in zip(rows, contribs.tolist()):
+    for (vec, tag), exact in zip(front, contribs.tolist()):
         entry = {"tag": tag, "losses": list(vec), "contribution": exact}
         if args.mc_samples:
             entry["mc_contribution"] = pareto.mc_contribution(
-                rows, tag, ref, g=args.mc_samples,
+                front, tag, ref, g=args.mc_samples,
                 seed=seeds.seed_sequence(args.seed or 0, seeds.STREAM_MC, 0, len(report_rows)))
         report_rows.append(entry)
         mc = f" mc={entry['mc_contribution']:.6f}" if "mc_contribution" in entry else ""
@@ -240,9 +241,10 @@ def cmd_report(args) -> int:
     table = report.ResultsTable.from_csv(_expand_path(args.results))
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    # write_report refuses the table (exit 3) before it creates --out
     out = _out_dir(args, "report")
-    _write_resolved(out, "report", {"results": str(args.results), "alpha": args.alpha})
     summary = report.write_report(table, out, alpha=args.alpha)
+    _write_resolved(out, "report", {"results": str(args.results), "alpha": args.alpha})
     print(json.dumps({"medians": summary["medians"], "cd": summary["cd"]}, indent=2))
     return EXIT_OK
 

@@ -9,7 +9,9 @@ staircase areas times the slab heights. ``exact_contributions`` makes the
 same pass and also credits each staircase step with the area only it covers
 in the slab times the slab height, which gives every point's exclusive
 volume at once. A seeded Monte Carlo estimator of one point's exclusive
-volume sits beside them.
+volume sits beside them: it counts the uniform samples in the point's box
+that none of the other points, clipped to that box, covers, and tests them
+only against the clipped points that no other clipped point covers.
 
 Contribution comes in two flavours that must not be confused:
 
@@ -66,7 +68,7 @@ class Front:
         if p.size and ((p < 0).any() or (p > 1).any()):
             raise ValueError("front components must lie in [0, 1]")
         # [i, j]: row i dominates row j (row i <= row j, and the rows differ)
-        i, j = np.nonzero(_weakly_covered(p).T & (p[:, None, :] != p[None, :, :]).any(axis=2))
+        i, j = np.nonzero(_below(p.T, p.T) & (p[:, None, :] != p[None, :, :]).any(axis=2))
         if i.size:
             raise ValueError(f"front is not mutually non-dominating: {self.tags[i[0]]} dominates {self.tags[j[0]]}")
         return self
@@ -78,9 +80,10 @@ class Front:
         return iter(zip(self.points, self.tags))
 
 
-def _weakly_covered(pts: np.ndarray) -> np.ndarray:
-    """[i, j]: row j is <= row i in every component, for i != j."""
-    return (pts[None, :, :] <= pts[:, None, :]).all(axis=2) & ~np.eye(len(pts), dtype=bool)
+def _below(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """[i, j]: point i of lo <= point j of hi in every component, for points
+    held as the columns of (3, n) arrays; one compare per component."""
+    return (lo[0][:, None] <= hi[0]) & (lo[1][:, None] <= hi[1]) & (lo[2][:, None] <= hi[2])
 
 
 def _points_tags(front) -> tuple[np.ndarray, list[str]]:
@@ -220,7 +223,8 @@ def exact_contributions(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
     for rows, xs, ys, height in _slabs(pts, ref):
         total += _slab_area(xs, ys, ref) * height
         contribs[rows] += _exclusive_areas(xs, ys, ref) * height
-    contribs[_weakly_covered(pts).any(axis=1) | ~(pts < ref).all(axis=1)] = 0.0
+    # a row is weakly covered by another when it is not the only row below it
+    contribs[(np.count_nonzero(_below(pts.T, pts.T), axis=0) > 1) | ~(pts < ref).all(axis=1)] = 0.0
     return total, contribs
 
 
@@ -265,10 +269,14 @@ def hv_decomposition(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
 def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     """Monte Carlo estimate of ``exact_contribution``.
 
-    Draws g points uniformly from the sampling space [0,1]^3 and counts hits
-    inside the tagged point's exclusive region below the reference vector;
-    returns hits / g (the sampling space has unit volume). Deterministic for
-    a fixed seed.
+    Draws g points uniformly from the sampling space [0,1]^3 and counts the
+    samples inside the tagged row's box [p, ref) that no other row's box
+    covers; returns hits / g (the sampling space has unit volume). Inside
+    that box another row q covers a sample s exactly when max(q, p) <= s, so
+    the samples are tested only against the distinct clipped rows max(q, p)
+    that no other clipped row weakly covers. Deterministic for a fixed seed.
+    Exactly 0.0, with no draw, when another row weakly dominates the row or
+    the row is not strictly below the reference.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
@@ -277,18 +285,14 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     i = _tag_index(tags, tag)
     p = pts[i]
     others = np.delete(pts, i, axis=0)
-    if not (p < ref).all():
+    if not (p < ref).all() or (others <= p).all(axis=1).any():
         return 0.0
-    if others.size and (others <= p).all(axis=1).any():
-        return 0.0
-    rng = np.random.default_rng(seed)
-    z = rng.random((int(g), 3))
-    sub = z[(z >= p).all(axis=1)]
-    if others.size and sub.size:
-        alive = np.ones(sub.shape[0], dtype=bool)
-        for q in others:
-            alive &= ~(sub >= q).all(axis=1)
-            if not alive.any():
-                break
-        sub = sub[alive]
-    return int((sub < ref).all(axis=1).sum()) / float(g)
+    z = np.random.default_rng(seed).random((int(g), 3)).T.copy()
+    z = z.compress(((z >= p[:, None]) & (z < ref[:, None])).all(axis=0), axis=1)
+    # in lexicographic order a clipped row can be weakly covered only by an
+    # earlier one, so this keeps the first of equal rows and drops the rest
+    clipped = np.maximum(others, p)
+    clipped = clipped[np.lexsort(clipped.T)].T.copy()
+    k = np.arange(clipped.shape[1])
+    clipped = clipped.compress(~(_below(clipped, clipped) & (k[:, None] < k)).any(axis=0), axis=1)
+    return (z.shape[1] - np.count_nonzero(_below(clipped, z).any(axis=0))) / float(g)

@@ -218,8 +218,11 @@ def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 
 # full report
 
 def write_report(table: ResultsTable, out_dir, alpha: float = 0.05) -> dict:
-    """Write the CSV/JSON report files and return the JSON summary dict."""
+    """Write the CSV/JSON report files and return the JSON summary dict. An
+    incomplete grid or one of fewer than two methods or datasets is refused
+    (GridError) before ``out_dir`` is created."""
     table.require_full_grid()
+    cd = critical_difference(len(table.methods), len(table.datasets), alpha)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -248,7 +251,7 @@ def write_report(table: ResultsTable, out_dir, alpha: float = 0.05) -> dict:
         "medians": medians,
         "mean_ranks": {},
         "friedman": {},
-        "cd": critical_difference(len(table.methods), len(table.datasets), alpha),
+        "cd": cd,
         "alpha": alpha,
     }
     for metric in METRIC_KEYS:

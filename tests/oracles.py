@@ -275,6 +275,36 @@ def leave_one_out_contribution(points, i, ref=(1.0, 1.0, 1.0), hv=slab_hv):
     return max(0.0, hv(pts, ref) - hv(others, ref))
 
 
+def loop_mc_contribution(front, tag, ref=(1.0, 1.0, 1.0), g=10_000, seed=0):
+    """Monte Carlo exclusive volume of the (first) row with this tag by a
+    Python loop over the other rows (the package's former estimator): g
+    uniform draws from [0,1]^3, the ones at or above the row that no other
+    row's box covers and that lie strictly below the reference, over g.
+    0.0 without a draw for a weakly dominated row or one not strictly below
+    the reference. ``front`` is a Front or (3-vector, tag) pairs."""
+    pts = np.array([p for p, _ in front], dtype=float).reshape(-1, 3)
+    tags = [str(t) for _, t in front]
+    ref = np.asarray(ref, dtype=float)
+    i = tags.index(str(tag))
+    p = pts[i]
+    others = np.delete(pts, i, axis=0)
+    if not (p < ref).all():
+        return 0.0
+    if others.size and (others <= p).all(axis=1).any():
+        return 0.0
+    rng = np.random.default_rng(seed)
+    z = rng.random((int(g), 3))
+    sub = z[(z >= p).all(axis=1)]
+    if others.size and sub.size:
+        alive = np.ones(sub.shape[0], dtype=bool)
+        for q in others:
+            alive &= ~(sub >= q).all(axis=1)
+            if not alive.any():
+                break
+        sub = sub[alive]
+    return int((sub < ref).all(axis=1).sum()) / float(g)
+
+
 def dense_covariance(state):
     """The covariance of a CmaState as a dense matrix, rebuilt by the update
     recurrence C' = (1 - c) C + c v v^T from C_0 = I over its update vectors,

@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, cli, cmaes, pareto, synth, trainer
+from hvml import benchmark_results_path, cli, cmaes, pareto, seeds, synth, trainer
 from hvml.cli import main
 
 import seed_panel
-from oracles import tagged
+from oracles import loop_mc_contribution, tagged
 
 
 @pytest.fixture()
@@ -167,13 +167,44 @@ class TestHv:
             err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             assert (err["error"], err["exit_code"]) == ("DimensionError", 2)
 
-    @pytest.mark.parametrize("flags,code", [(["--ref", "1,1"], 2), (["--mc-samples", -5], 3)],
-                             ids=["two-component-ref", "negative-mc-samples"])
-    def test_refused_request_writes_nothing(self, tmp_path, capsys, flags, code):
+    @pytest.mark.parametrize("body,flags,code,error,names", [
+        ("0.5,0.5,0.5\n", ["--ref", "1,1"], 2, "DimensionError", "reference"),
+        ("0.5,0.5,0.5\n", ["--mc-samples", -5], 3, "ConfigError", "--mc-samples"),
+        ("l1,l2,l3\n", ["--mc-samples", -5], 3, "ConfigError", "--mc-samples"),
+    ], ids=["two-component-ref", "negative-mc-samples", "negative-mc-samples-header-only"])
+    def test_refused_request_writes_nothing(self, tmp_path, capsys, body, flags, code, error,
+                                            names):
         front = tmp_path / "front.csv"
-        front.write_text("0.5,0.5,0.5\n")
+        front.write_text(body)
         assert run_cli(["hv", front, *flags, "--out", tmp_path / "o"]) == code
         assert not (tmp_path / "o").exists()
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == error and names in err["message"]
+
+    def test_zero_mc_samples_gives_no_estimates(self, tmp_path):
+        front = tmp_path / "front.csv"
+        front.write_text("0.5,0.5,0.5\n0.2,0.7,0.6\n")
+        assert run_cli(["hv", front, "--mc-samples", 0, "--out", tmp_path / "o"]) == 0
+        rows = json.loads((tmp_path / "o" / "hv.json").read_text())["rows"]
+        assert len(rows) == 2 and not any("mc_contribution" in r for r in rows)
+
+    def test_mc_estimates_follow_the_row_seed_streams(self, tmp_path, messy_front):
+        # row i's estimate uses stream (seed, STREAM_MC, 0, i), bit for bit
+        pts = messy_front(9, 80, grid=True)
+        assert len(np.unique(pts, axis=0)) < 80
+        pairs = [(p, f"t{i}") for i, p in enumerate(pts)]
+        front = tmp_path / "front.csv"
+        front.write_text("tag,l1,l2,l3\n" + "".join(
+            f"{t},{','.join(map(repr, p.tolist()))}\n" for p, t in pairs))
+        out = tmp_path / "o"
+        assert run_cli(["hv", front, "--mc-samples", 10_000, "--seed", 9, "--out", out]) == 0
+        rows = json.loads((out / "hv.json").read_text())["rows"]
+        assert [r["tag"] for r in rows] == [t for _, t in pairs]
+        assert sum(r["contribution"] == 0.0 for r in rows) >= 16
+        for i, r in enumerate(rows):
+            seed = seeds.seed_sequence(9, seeds.STREAM_MC, 0, i)
+            assert r["mc_contribution"] == loop_mc_contribution(pairs, r["tag"], g=10_000,
+                                                                seed=seed)
 
     def test_non_numeric_reference_exits_2(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
@@ -224,6 +255,7 @@ class TestReport:
         bad = tmp_path / "bad.csv"
         bad.write_text("dataset,method,l1,l2,l3\na,only,0.1,0.2,0.3\nb,only,0.2,0.3,0.4\n")
         assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 3
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0])
     def test_alpha_outside_unit_interval_exits_3_and_writes_nothing(self, tmp_path, capsys,
@@ -241,6 +273,7 @@ class TestReport:
         assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 3
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "m2" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_row_order_invariance(self, tmp_path):
         rows = benchmark_results_path().read_text().strip().splitlines()

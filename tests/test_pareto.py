@@ -7,7 +7,7 @@ from hvml.pareto import (Front, dominates, exact_contribution, exact_contributio
                          update_reference_set)
 
 from oracles import (first_dominating_pair, grid_hv, iex_hv, leave_one_out_contribution,
-                     loop_merge, nondominated_filter, slab_hv, tagged)
+                     loop_mc_contribution, loop_merge, nondominated_filter, slab_hv, tagged)
 
 EMPTY = Front(np.empty((0, 3)), ())
 
@@ -349,6 +349,35 @@ class TestMcContribution:
     def test_g_validation(self):
         with pytest.raises(ValueError):
             mc_contribution([((0.5, 0.5, 0.5), "a")], "a", g=0, seed=0)
+
+    @pytest.mark.parametrize("g", [1, 7, 10_000])
+    @pytest.mark.parametrize("ref", [(1.0, 1.0, 1.0), (0.9, 0.95, 1.2), (0.5, 0.5, 0.5)],
+                             ids=["unit", "offset", "half"])
+    def test_equals_loop_oracle_bit_for_bit(self, messy_front, ref, g):
+        # the clipped-neighbour count tests the same samples as the loop over
+        # every other row, so the estimate is the same float
+        fronts = [messy_front(seed, n, grid) for seed, n in enumerate((1, 2, 5, 13, 34, 80))
+                  for grid in (False, True)]
+        assert any(len(np.unique(pts, axis=0)) < len(pts) for pts in fronts)
+        for f, pts in enumerate(fronts):
+            front = tagged(pts)
+            for i in range(len(pts)):
+                seed = (f, i)
+                assert (mc_contribution(front, str(i), ref, g=g, seed=seed)
+                        == loop_mc_contribution(front, str(i), ref, g=g, seed=seed))
+
+    def test_rows_that_clip_to_one_point_keep_one_copy(self):
+        # inside a's box, b and c both clip to (0.2, 0.5, 0.5), as does the
+        # duplicate d of c; dropping every copy of that point would count the
+        # samples it covers
+        front = [((0.2, 0.2, 0.2), "a"), ((0.1, 0.5, 0.5), "b"), ((0.15, 0.5, 0.5), "c"),
+                 ((0.15, 0.5, 0.5), "d"), ((0.6, 0.1, 0.7), "e")]
+        uncovered = front[:1] + front[4:]
+        for seed in range(5):
+            got = mc_contribution(front, "a", g=10_000, seed=seed)
+            assert got == loop_mc_contribution(front, "a", g=10_000, seed=seed)
+            assert got < mc_contribution(uncovered, "a", g=10_000, seed=seed)
+            assert got == pytest.approx(exact_contribution(front, "a"), abs=0.02)
 
 
 class TestUpdateReferenceSet:
