@@ -22,7 +22,7 @@ def write_csv():
 @pytest.fixture(scope="session")
 def messy_front():
     """Builds n rows in (0, 1)^3 near the sphere of radius 0.9 around
-    (1, 1, 1), a fifth of them then given a coordinate of another row (ties),
+    (1, 1, 1), a fifth of them then given one coordinate of another row (ties),
     a fifth made copies of other rows (duplicates) and a fifth moved above
     other rows (dominated); with ``grid`` every coordinate is rounded to the
     1/1000 grid, which keeps every tie, copy and weak dominance."""
@@ -31,8 +31,8 @@ def messy_front():
         u = np.abs(rng.standard_normal((n, 3))) + 1e-9
         pts = 1.0 - 0.9 * u / np.linalg.norm(u, axis=1, keepdims=True)
         k = n // 5
-        pts[rng.integers(n, size=k), rng.integers(3, size=k)] = \
-            pts[rng.integers(n, size=k), rng.integers(3, size=k)]
+        axis = rng.integers(3, size=k)
+        pts[rng.integers(n, size=k), axis] = pts[rng.integers(n, size=k), axis]
         pts[rng.integers(n, size=k)] = pts[rng.integers(n, size=k)]
         pts[rng.integers(n, size=k)] = pts[rng.integers(n, size=k)] + rng.random((k, 3)) * 0.1
         pts = np.clip(pts, 0.001, 0.999)
