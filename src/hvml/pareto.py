@@ -3,15 +3,19 @@
 Volumes are measured in a minimized 3-D loss space: the region dominated by
 a set of points and bounded above by one reference vector (the unit vector
 unless a caller passes another). Exact volumes come from one z-axis
-dimension sweep: each slab between consecutive z levels holds the 2-D
-staircase of the points at or below it. ``exact_hypervolume`` sums the
-staircase areas times the slab heights. ``exact_contributions`` makes the
-same pass and also credits each staircase step with the area only it covers
-in the slab times the slab height, which gives every point's exclusive
-volume at once. A seeded Monte Carlo estimator of one point's exclusive
-volume sits beside them: it counts the uniform samples in the point's box
-that none of the other points, clipped to that box, covers, and tests them
-only against the clipped points that no other clipped point covers.
+dimension sweep, held whole in one (levels x points) array: each slab
+between consecutive z levels holds the 2-D staircase of the points at or
+below it, and one row of the array is that staircase (see ``_sweep``).
+``exact_hypervolume`` sums the staircase areas times the slab heights.
+``exact_contributions`` runs the same array and also credits each staircase
+step with the area only it covers in its slab times the slab height, which
+gives every point's exclusive volume at once. There is no Python loop over
+slabs or points, and the array takes O(levels x points) memory: at most
+513 x 513 entries for an archive at its cap. A seeded Monte Carlo estimator
+of one point's exclusive volume sits beside them: it counts the uniform
+samples in the point's box that none of the other points, clipped to that
+box, covers, and tests them only against the clipped points that no other
+clipped point covers.
 
 Contribution comes in two flavours that must not be confused:
 
@@ -127,71 +131,50 @@ def _reference(ref) -> np.ndarray:
     return r
 
 
-def _slabs(pts: np.ndarray, ref: np.ndarray):
-    """The z-axis sweep over the points strictly below the reference: one
-    slab per distinct z level, yielding the row indices, x and y of the
-    points at or below that level in (x, y) lexicographic order, and the
-    slab's height up to the next level (or the reference)."""
+def _sweep(pts: np.ndarray, ref: np.ndarray, exclusive: bool = False):
+    """The total volume of the z-axis sweep over the points strictly below the
+    reference and, with ``exclusive``, every row's exclusive volume (else
+    None), from one (levels x points) array.
+
+    Rows are the distinct z levels, columns the points in (x, y) order.
+    Entry [l, i] is y_i if point i is active in slab l (z_i <= level l), else
+    ref_y, so one running minimum ``low`` along the rows is every slab's
+    staircase, and the strips [x_i, x_{i+1}) (the last to ref_x) tile it:
+    the total is sum_l height_l * sum_i width_i * (ref_y - low[l, i]).
+
+    A step is an entry below the running minimum ``prev`` before it. It owns
+    the strips up to the next step of its row, which lie in its rectangle
+    [x_k, x_next_step) x [y_k, prev_k); no earlier point reaches into that
+    rectangle, and in each strip the points it owns cover it from their
+    lowest y up. So a second running minimum M of max(y, prev) (prev at a
+    step, y at another active entry, ref_y at an inactive one) is the lowest
+    covered y, and the step's exclusive area is the sum over its strips of
+    ``free`` = width * (M - low). One ``np.add.reduceat`` over the steps in
+    row-major order sums them (entries before a row's first step add exact
+    zeros), and one ``np.bincount`` credits each area times its slab height
+    to the step's row. A weakly dominated row is never a step, or (when it
+    shares x and y with the later row that covers it) a step whose strips
+    have zero width until M falls to its y there, so it gets exactly 0.0, as
+    do the rows not strictly below the reference.
+    """
     below = np.flatnonzero((pts < ref).all(axis=1))
     order = below[np.lexsort((pts[below, 1], pts[below, 0]))]
     xs, ys, zs = pts[order].T
     levels = np.unique(zs)
-    for z0, z1 in zip(levels, np.append(levels[1:], ref[2])):
-        active = zs <= z0
-        yield order[active], xs[active], ys[active], z1 - z0
-
-
-def _strips(xs: np.ndarray, ys: np.ndarray, x_next: np.ndarray, top) -> np.ndarray:
-    """Areas of the strips [x_i, x_next_i) x [min(y_0..y_i), top) of points
-    sorted by x. When x_next_i is x_{i+1} and the last one a right edge, the
-    strips tile the union of the boxes [x_i, right edge) x [y_i, top)."""
-    return (x_next - xs) * (top - np.minimum.accumulate(ys))
-
-
-def _slab_area(xs: np.ndarray, ys: np.ndarray, ref: np.ndarray) -> float:
-    """Area of the union of the rectangles [x_i, rx) x [y_i, ry)."""
-    return float(np.sum(_strips(xs, ys, np.append(xs[1:], ref[0]), ref[1])))
-
-
-def _hv_sweep(pts: np.ndarray, ref: np.ndarray) -> float:
-    """Volume of the union of boxes [p, ref]: the sum over slabs of the
-    staircase area of the points at or below the slab times its height."""
-    vol = 0.0
-    for _, xs, ys, height in _slabs(pts, ref):
-        vol += _slab_area(xs, ys, ref) * height
-    return vol
-
-
-def _exclusive_areas(xs: np.ndarray, ys: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per point, in the (x, y) lexicographic order of the input, the area of
-    its rectangle [x, rx) x [y, ry) that no other point's rectangle covers.
-
-    Only a step of the staircase (a point whose y is below every earlier y)
-    has such an area: its rectangle among the steps alone, [x_k, x_{k+1}) x
-    [y_k, y_{k-1}), less the union of the boxes of the other points whose
-    last step at or before them is k, clipped to that rectangle. A point
-    whose last step is j != k lies in j's box, which misses k's rectangle.
-    The clipped boxes of one step form a second staircase, and each area is
-    clamped at >= 0.
-    """
-    step = ys < np.append(np.inf, np.minimum.accumulate(ys)[:-1])
-    sx, sy = xs[step], ys[step]
-    right = np.append(sx[1:], ref[0])
-    top = np.append(ref[1], sy[:-1])
-    area = (right - sx) * (top - sy)
-    rest = ~step
-    if rest.any():
-        owner = np.cumsum(step)[rest] - 1
-        qx, q_top = xs[rest], top[owner]
-        last = np.append(owner[1:] != owner[:-1], True)
-        q_next = np.where(last, right[owner], np.append(qx[1:], 0.0))
-        # a later step's clipped y lie at or below the y of every earlier
-        # step, so one running minimum over all of them restarts at each step
-        cut = _strips(qx, np.minimum(ys[rest], q_top), q_next, q_top)
-        area -= np.bincount(owner, weights=cut, minlength=sx.size)
-    out = np.zeros(xs.size)
-    out[step] = np.maximum(area, 0.0)
-    return out
+    height = np.diff(np.append(levels, ref[2]))
+    width = np.diff(np.append(xs, ref[0]))
+    y = np.where(zs <= levels[:, None], ys, ref[1])
+    run = np.minimum.accumulate(np.hstack([np.full((levels.size, 1), ref[1]), y]), axis=1)
+    low, prev = run[:, 1:], run[:, :-1]
+    total = float(np.sum(((ref[1] - low) * width).sum(axis=1) * height))
+    if not exclusive:
+        return total, None
+    steps = np.flatnonzero(y < prev)
+    free = np.minimum.accumulate(np.maximum(y, prev), axis=1) - low
+    free *= width
+    level, col = np.divmod(steps, xs.size)
+    areas = np.add.reduceat(free.ravel(), steps) * height[level]
+    return total, np.bincount(order[col], areas, minlength=pts.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +185,7 @@ def exact_hypervolume(front, ref=UNIT_REF) -> float:
     reference vector: the union of the boxes [p, ref]. Points not strictly
     below the reference in every component add nothing."""
     pts, _ = _points_tags(front)
-    return _hv_sweep(pts, _reference(ref))
+    return _sweep(pts, _reference(ref))[0]
 
 
 def exact_contributions(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
@@ -210,22 +193,15 @@ def exact_contributions(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
     from one z-axis sweep.
 
     A row's exclusive volume is the part of its box [p, ref] that no other
-    row's box covers, the volume lost if it alone were removed. In each slab
-    the row's exclusive area (see ``_exclusive_areas``) times the slab height
-    adds to it. Rows that another row weakly dominates (duplicates included)
-    and rows not strictly below the reference get exactly 0.0. The total is
-    the one ``exact_hypervolume`` gives, bit for bit.
+    row's box covers, the volume lost if it alone were removed: the sum over
+    slabs of its exclusive area in the slab's staircase times the slab
+    height (see ``_sweep``). Rows that another row weakly dominates
+    (duplicates included) and rows not strictly below the reference get
+    exactly 0.0. The total is the one ``exact_hypervolume`` gives, bit for
+    bit.
     """
     pts, _ = _points_tags(front)
-    ref = _reference(ref)
-    total = 0.0
-    contribs = np.zeros(pts.shape[0])
-    for rows, xs, ys, height in _slabs(pts, ref):
-        total += _slab_area(xs, ys, ref) * height
-        contribs[rows] += _exclusive_areas(xs, ys, ref) * height
-    # a row is weakly covered by another when it is not the only row below it
-    contribs[(np.count_nonzero(_below(pts.T, pts.T), axis=0) > 1) | ~(pts < ref).all(axis=1)] = 0.0
-    return total, contribs
+    return _sweep(pts, _reference(ref), exclusive=True)
 
 
 def _tag_index(tags: list[str], tag) -> int:
@@ -257,22 +233,21 @@ def hv_decomposition(front, ref=UNIT_REF) -> tuple[float, np.ndarray]:
     """
     pts, _ = _points_tags(front)
     ref = _reference(ref)
-    parts = np.zeros(pts.shape[0])
-    prev_vol = 0.0
-    for i in range(pts.shape[0]):
-        cur_vol = _hv_sweep(pts[: i + 1], ref)
-        parts[i] = max(0.0, cur_vol - prev_vol)
-        prev_vol = cur_vol
-    return prev_vol, parts
+    vols = np.array([0.0] + [_sweep(pts[: i + 1], ref)[0] for i in range(pts.shape[0])])
+    return float(vols[-1]), np.maximum(np.diff(vols), 0.0)
 
 
 def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     """Monte Carlo estimate of ``exact_contribution``.
 
-    Draws g points uniformly from the sampling space [0,1]^3 and counts the
-    samples inside the tagged row's box [p, ref) that no other row's box
-    covers; returns hits / g (the sampling space has unit volume). Inside
-    that box another row q covers a sample s exactly when max(q, p) <= s, so
+    Draws g points uniformly from the sampling space [0, t_1] x [0, t_2] x
+    [0, t_3], t_j = max(1, ref_j), which holds the row's box [p, ref) for
+    any p in [0, 1]^3, and counts the samples inside that box that no other
+    row's box covers; returns hits / g times the volume of the sampling
+    space. The draws are one ``random((g, 3))`` block, scaled per component
+    only when a reference component is above 1, so under any other
+    reference the space is [0,1]^3 and the draws are used as drawn. Inside
+    the box another row q covers a sample s exactly when max(q, p) <= s, so
     the samples are tested only against the distinct clipped rows max(q, p)
     that no other clipped row weakly covers. Deterministic for a fixed seed.
     Exactly 0.0, with no draw, when another row weakly dominates the row or
@@ -288,6 +263,9 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     if not (p < ref).all() or (others <= p).all(axis=1).any():
         return 0.0
     z = np.random.default_rng(seed).random((int(g), 3)).T.copy()
+    span = np.maximum(ref, 1.0)
+    if (span > 1.0).any():
+        z *= span[:, None]
     z = z.compress(((z >= p[:, None]) & (z < ref[:, None])).all(axis=0), axis=1)
     # in lexicographic order a clipped row can be weakly covered only by an
     # earlier one, so this keeps the first of equal rows and drops the rest
@@ -295,4 +273,5 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     clipped = clipped[np.lexsort(clipped.T)].T.copy()
     k = np.arange(clipped.shape[1])
     clipped = clipped.compress(~(_below(clipped, clipped) & (k[:, None] < k)).any(axis=0), axis=1)
-    return (z.shape[1] - np.count_nonzero(_below(clipped, z).any(axis=0))) / float(g)
+    hits = z.shape[1] - np.count_nonzero(_below(clipped, z).any(axis=0))
+    return hits / float(g) * float(np.prod(span))

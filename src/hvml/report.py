@@ -195,9 +195,21 @@ def rank_summary(table: ResultsTable, metric: str) -> dict[str, float]:
     return {m: by_method[m] for m in table.methods}
 
 
+def _critical_values(table: ResultsTable, alpha: float) -> tuple[float, float]:
+    """The chi-square critical values at 1 - alpha for df = methods - 1 and
+    df = datasets - 1."""
+    return (chi2_quantile(1 - alpha, len(table.methods) - 1),
+            chi2_quantile(1 - alpha, len(table.datasets) - 1))
+
+
 def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 0.05) -> dict:
     """Friedman statistic with treatments = methods and treatments = datasets,
     plus the chi-square critical values for both df bases."""
+    return _friedman(table, metric, _critical_values(table, alpha))
+
+
+def _friedman(table: ResultsTable, metric: str, critical: tuple[float, float]) -> dict:
+    """``friedman_both_orientations`` with its two critical values given."""
     mat, _ = _metric_matrix(table, metric)
     by_methods, _ = friedman_statistic(mat)
     by_datasets, _ = friedman_statistic(mat.T)
@@ -205,9 +217,9 @@ def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 
     return {
         "metric": metric,
         "treatments_methods": {"statistic": by_methods, "df": k - 1,
-                               "critical_value": chi2_quantile(1 - alpha, k - 1)},
+                               "critical_value": critical[0]},
         "treatments_datasets": {"statistic": by_datasets, "df": t - 1,
-                                "critical_value": chi2_quantile(1 - alpha, t - 1)},
+                                "critical_value": critical[1]},
         "note": ("orientations differ: method comparison ranks methods within each "
                  "dataset (df = methods - 1); tables whose critical value matches "
                  "df = datasets - 1 ranked datasets within each method"),
@@ -254,8 +266,9 @@ def write_report(table: ResultsTable, out_dir, alpha: float = 0.05) -> dict:
         "cd": cd,
         "alpha": alpha,
     }
+    critical = _critical_values(table, alpha)
     for metric in METRIC_KEYS:
         summary["mean_ranks"][metric] = rank_summary(table, metric)
-        summary["friedman"][metric] = friedman_both_orientations(table, metric, alpha)
+        summary["friedman"][metric] = _friedman(table, metric, critical)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary

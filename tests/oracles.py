@@ -264,6 +264,49 @@ def slab_hv(points, ref=(1.0, 1.0, 1.0)):
     return vol
 
 
+def loop_exact_contributions(points, ref=(1.0, 1.0, 1.0)):
+    """Total volume and exclusive volume of every row by a Python loop over
+    the slabs of the z-axis sweep (the package's former kernel): per distinct
+    z level, the points at or below it in (x, y) order, the staircase area
+    times the slab height for the total, and per staircase step its
+    rectangle [x_k, x_next_step) x [y_k, y_prev_step) less the second
+    staircase of the clipped boxes of the points it owns, clamped at >= 0.
+    Weakly dominated rows and rows not strictly below the reference are set
+    to 0.0 at the end. Returns (total, contributions in row order)."""
+    ref = np.asarray(ref, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    below = np.flatnonzero((pts < ref).all(axis=1))
+    order = below[np.lexsort((pts[below, 1], pts[below, 0]))]
+    xs_all, ys_all, zs = pts[order].T
+    levels = np.unique(zs)
+    total = 0.0
+    contribs = np.zeros(pts.shape[0])
+    for z0, z1 in zip(levels, np.append(levels[1:], ref[2])):
+        active = zs <= z0
+        rows, xs, ys, height = order[active], xs_all[active], ys_all[active], z1 - z0
+        total += float(np.sum((np.append(xs[1:], ref[0]) - xs)
+                              * (ref[1] - np.minimum.accumulate(ys)))) * height
+        step = ys < np.append(np.inf, np.minimum.accumulate(ys)[:-1])
+        sx, sy = xs[step], ys[step]
+        right = np.append(sx[1:], ref[0])
+        top = np.append(ref[1], sy[:-1])
+        area = (right - sx) * (top - sy)
+        rest = ~step
+        if rest.any():
+            owner = np.cumsum(step)[rest] - 1
+            qx, q_top = xs[rest], top[owner]
+            last = np.append(owner[1:] != owner[:-1], True)
+            q_next = np.where(last, right[owner], np.append(qx[1:], 0.0))
+            cut = (q_next - qx) * (q_top - np.minimum.accumulate(np.minimum(ys[rest], q_top)))
+            area -= np.bincount(owner, weights=cut, minlength=sx.size)
+        areas = np.zeros(xs.size)
+        areas[step] = np.maximum(area, 0.0)
+        contribs[rows] += areas * height
+    covered = (pts[:, None, :] <= pts[None, :, :]).all(axis=2).sum(axis=0) > 1
+    contribs[covered | ~(pts < ref).all(axis=1)] = 0.0
+    return total, contribs
+
+
 def leave_one_out_contribution(points, i, ref=(1.0, 1.0, 1.0), hv=slab_hv):
     """Exclusive volume of row i as the total volume minus the volume without
     it; 0.0 without arithmetic when another row weakly dominates row i or
@@ -278,8 +321,9 @@ def leave_one_out_contribution(points, i, ref=(1.0, 1.0, 1.0), hv=slab_hv):
 def loop_mc_contribution(front, tag, ref=(1.0, 1.0, 1.0), g=10_000, seed=0):
     """Monte Carlo exclusive volume of the (first) row with this tag by a
     Python loop over the other rows (the package's former estimator): g
-    uniform draws from [0,1]^3, the ones at or above the row that no other
-    row's box covers and that lie strictly below the reference, over g.
+    uniform draws from [0, s] with s = max(1, ref) per component, the ones
+    at or above the row that no other row's box covers and that lie strictly
+    below the reference, over g, times the volume of [0, s].
     0.0 without a draw for a weakly dominated row or one not strictly below
     the reference. ``front`` is a Front or (3-vector, tag) pairs."""
     pts = np.array([p for p, _ in front], dtype=float).reshape(-1, 3)
@@ -292,8 +336,9 @@ def loop_mc_contribution(front, tag, ref=(1.0, 1.0, 1.0), g=10_000, seed=0):
         return 0.0
     if others.size and (others <= p).all(axis=1).any():
         return 0.0
+    span = np.maximum(ref, 1.0)
     rng = np.random.default_rng(seed)
-    z = rng.random((int(g), 3))
+    z = rng.random((int(g), 3)) * span
     sub = z[(z >= p).all(axis=1)]
     if others.size and sub.size:
         alive = np.ones(sub.shape[0], dtype=bool)
@@ -302,7 +347,7 @@ def loop_mc_contribution(front, tag, ref=(1.0, 1.0, 1.0), g=10_000, seed=0):
             if not alive.any():
                 break
         sub = sub[alive]
-    return int((sub < ref).all(axis=1).sum()) / float(g)
+    return int((sub < ref).all(axis=1).sum()) / float(g) * float(np.prod(span))
 
 
 def dense_covariance(state):

@@ -7,9 +7,12 @@ from hvml.pareto import (Front, dominates, exact_contribution, exact_contributio
                          update_reference_set)
 
 from oracles import (first_dominating_pair, grid_hv, iex_hv, leave_one_out_contribution,
-                     loop_mc_contribution, loop_merge, nondominated_filter, slab_hv, tagged)
+                     loop_exact_contributions, loop_mc_contribution, loop_merge,
+                     nondominated_filter, slab_hv, tagged)
 
 EMPTY = Front(np.empty((0, 3)), ())
+REFS = pytest.mark.parametrize("ref", [(1.0, 1.0, 1.0), (0.9, 0.95, 1.2), (0.5, 0.5, 0.5)],
+                               ids=["unit", "offset", "half"])
 
 
 def merged(pairs):
@@ -265,6 +268,71 @@ class TestExactContributions:
         assert [exact_contribution(tagged(pts), str(i)) for i in range(9)] == got.tolist()
 
 
+class TestSweepArray:
+    """The (levels x points) array sweep against the former per-slab loop and
+    the independent volume oracles, on fronts with ties, duplicates,
+    dominated rows and, under the smaller references, rows not strictly
+    below the reference."""
+
+    @staticmethod
+    def fronts(messy_front, sizes):
+        return [messy_front(seed, n, grid) for seed, n in enumerate(sizes) for grid in (False, True)]
+
+    @staticmethod
+    def sweep(pts, ref):
+        """Total and contributions with every floating-point fault raised;
+        the total equals ``exact_hypervolume`` bit for bit."""
+        with np.errstate(all="raise"):
+            total, got = exact_contributions(tagged(pts), ref)
+            assert total == exact_hypervolume(tagged(pts), ref)
+        return total, got
+
+    @staticmethod
+    def zero_rows(pts, ref):
+        """Rows that another row weakly dominates or that are not strictly
+        below the reference."""
+        return np.array([bool((np.delete(pts, i, axis=0) <= pts[i]).all(axis=1).any())
+                         or not (pts[i] < ref).all() for i in range(len(pts))], dtype=bool)
+
+    def assert_matches_loop(self, pts, ref):
+        ref = np.asarray(ref)
+        total, got = self.sweep(pts, ref)
+        want_total, want = loop_exact_contributions(pts, ref)
+        assert total == pytest.approx(want_total, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_array_equal(got == 0.0, self.zero_rows(pts, ref))
+
+    @REFS
+    def test_matches_loop_oracle_up_to_80_rows(self, messy_front, ref):
+        fronts = self.fronts(messy_front, (1, 2, 3, 5, 8, 13, 14, 16, 26, 34, 48, 80))
+        assert any(len(np.unique(pts, axis=0)) < len(pts) for pts in fronts)
+        for pts in fronts:
+            self.assert_matches_loop(pts, ref)
+
+    @REFS
+    @pytest.mark.parametrize("n", [200, 513])
+    def test_matches_loop_oracle_at_archive_sizes(self, messy_front, n, ref):
+        for pts in self.fronts(messy_front, (n,)):
+            self.assert_matches_loop(pts, ref)
+
+    @REFS
+    def test_matches_volume_oracles(self, messy_front, ref):
+        # the exponential oracle only on fronts of up to 13 rows
+        for pts in self.fronts(messy_front, (1, 2, 5, 8, 13, 34, 80)):
+            oracles = (slab_hv, iex_hv) if len(pts) <= 13 else (slab_hv,)
+            total, _ = self.sweep(pts, ref)
+            with np.errstate(all="raise"):
+                TestExactContributions.assert_matches(pts, np.asarray(ref), oracles)
+            for hv in oracles:
+                assert total == pytest.approx(hv(pts, ref), rel=1e-12, abs=1e-15)
+
+    def test_nothing_below_the_reference(self):
+        pts = np.array([[0.6, 0.2, 0.2], [0.2, 0.2, 0.5]])
+        total, got = self.sweep(pts, np.array([0.5, 0.5, 0.5]))
+        assert total == 0.0 and got.tolist() == [0.0, 0.0]
+
+
 class TestDecomposition:
     def test_partition_sums_to_total(self):
         rng = np.random.default_rng(8)
@@ -346,13 +414,24 @@ class TestMcContribution:
         est = mc_contribution(front, "a", ref, g=200_000, seed=5)
         assert est == pytest.approx(exact, abs=4 * np.sqrt(exact * (1 - exact) / 200_000))
 
+    def test_samples_the_box_above_one(self):
+        # under ref (1, 1, 1.2) the box of (0.5, 0.5, 0.5) reaches z = 1.2;
+        # draws from [0,1]^3 alone miss the part above 1 and read about 0.124
+        front = [((0.5, 0.5, 0.5), "a")]
+        ref = (1.0, 1.0, 1.2)
+        exact = exact_contribution(front, "a", ref)
+        assert exact == pytest.approx(0.175, abs=1e-15)
+        g = 200_000
+        hit = exact / 1.2
+        se = 1.2 * np.sqrt(hit * (1 - hit) / g)
+        assert abs(mc_contribution(front, "a", ref, g=g, seed=0) - exact) <= 5 * se
+
     def test_g_validation(self):
         with pytest.raises(ValueError):
             mc_contribution([((0.5, 0.5, 0.5), "a")], "a", g=0, seed=0)
 
     @pytest.mark.parametrize("g", [1, 7, 10_000])
-    @pytest.mark.parametrize("ref", [(1.0, 1.0, 1.0), (0.9, 0.95, 1.2), (0.5, 0.5, 0.5)],
-                             ids=["unit", "offset", "half"])
+    @REFS
     def test_equals_loop_oracle_bit_for_bit(self, messy_front, ref, g):
         # the clipped-neighbour count tests the same samples as the loop over
         # every other row, so the estimate is the same float

@@ -211,3 +211,19 @@ class TestWriteReport:
         assert summary["cd"] == pytest.approx(2.686, abs=0.01)
         assert set(summary["medians"]) == set(table.methods)
         assert set(summary["friedman"]) == {"l1", "l2", "l3", "gm"}
+
+    def test_critical_values_once_per_report(self, table, tmp_path, monkeypatch):
+        # two chi-square bisections (df = methods - 1 and datasets - 1) serve
+        # all four metrics, and each metric's entry is the one
+        # friedman_both_orientations gives
+        calls = []
+
+        def counted(p, df):
+            calls.append(df)
+            return chi2_quantile(p, df)
+
+        monkeypatch.setattr(report, "chi2_quantile", counted)
+        summary = report.write_report(table, tmp_path, alpha=0.05)
+        assert sorted(calls) == sorted([len(table.methods) - 1, len(table.datasets) - 1])
+        for metric in report.METRIC_KEYS:
+            assert summary["friedman"][metric] == friedman_both_orientations(table, metric, 0.05)
