@@ -3,19 +3,21 @@
 Volumes are measured in a minimized 3-D loss space: the region dominated by
 a set of points and bounded above by one reference vector (the unit vector
 unless a caller passes another). Exact volumes come from one z-axis
-dimension sweep, held whole in one (levels x points) array: each slab
-between consecutive z levels holds the 2-D staircase of the points at or
-below it, and one row of the array is that staircase (see ``_sweep``).
+dimension sweep, held in one (levels x points) array: each slab between
+consecutive z levels holds the 2-D staircase of the points at or below it,
+and one row of the array is that staircase (see ``_sweep``).
 ``exact_hypervolume`` sums the staircase areas times the slab heights.
 ``exact_contributions`` runs the same array and also credits each staircase
 step with the area only it covers in its slab times the slab height, which
 gives every point's exclusive volume at once. There is no Python loop over
-slabs or points, and the array takes O(levels x points) memory: at most
-513 x 513 entries for an archive at its cap. A seeded Monte Carlo estimator
-of one point's exclusive volume sits beside them: it counts the uniform
-samples in the point's box that none of the other points, clipped to that
-box, covers, and tests them only against the clipped points that no other
-clipped point covers.
+slabs or points. The rows are independent, so the array is built in blocks
+of rows of at most ``_BLOCK`` entries each: one block for any front of up to
+724 points (an archive at the default cap plus one population included),
+and memory bounded by ``_BLOCK`` entries per array for a front of any
+length. A seeded Monte Carlo estimator of one point's exclusive volume sits
+beside them: it counts the uniform samples in the point's box that none of
+the other points, clipped to that box, covers, and tests them only against
+the clipped points that no other clipped point covers.
 
 Contribution comes in two flavours that must not be confused:
 
@@ -131,6 +133,9 @@ def _reference(ref) -> np.ndarray:
     return r
 
 
+_BLOCK = 1 << 19  # most entries of one block of the sweep array (4 MB as float64)
+
+
 def _sweep(pts: np.ndarray, ref: np.ndarray, exclusive: bool = False):
     """The total volume of the z-axis sweep over the points strictly below the
     reference and, with ``exclusive``, every row's exclusive volume (else
@@ -156,6 +161,11 @@ def _sweep(pts: np.ndarray, ref: np.ndarray, exclusive: bool = False):
     shares x and y with the later row that covers it) a step whose strips
     have zero width until M falls to its y there, so it gets exactly 0.0, as
     do the rows not strictly below the reference.
+
+    The rows are built and summed in blocks of at most ``_BLOCK`` entries;
+    the staircase areas are kept per row and summed once, so the total does
+    not depend on the block size, and a front that fits in one block gets
+    the same contributions as a single array would give.
     """
     below = np.flatnonzero((pts < ref).all(axis=1))
     order = below[np.lexsort((pts[below, 1], pts[below, 0]))]
@@ -163,18 +173,22 @@ def _sweep(pts: np.ndarray, ref: np.ndarray, exclusive: bool = False):
     levels = np.unique(zs)
     height = np.diff(np.append(levels, ref[2]))
     width = np.diff(np.append(xs, ref[0]))
-    y = np.where(zs <= levels[:, None], ys, ref[1])
-    run = np.minimum.accumulate(np.hstack([np.full((levels.size, 1), ref[1]), y]), axis=1)
-    low, prev = run[:, 1:], run[:, :-1]
-    total = float(np.sum(((ref[1] - low) * width).sum(axis=1) * height))
-    if not exclusive:
-        return total, None
-    steps = np.flatnonzero(y < prev)
-    free = np.minimum.accumulate(np.maximum(y, prev), axis=1) - low
-    free *= width
-    level, col = np.divmod(steps, xs.size)
-    areas = np.add.reduceat(free.ravel(), steps) * height[level]
-    return total, np.bincount(order[col], areas, minlength=pts.shape[0])
+    area = np.empty(levels.size)
+    contrib = np.zeros(pts.shape[0]) if exclusive else None
+    rows = max(1, _BLOCK // max(xs.size, 1))
+    for first in range(0, levels.size, rows):
+        y = np.where(zs <= levels[first:first + rows, None], ys, ref[1])
+        run = np.minimum.accumulate(np.hstack([np.full((y.shape[0], 1), ref[1]), y]), axis=1)
+        low, prev = run[:, 1:], run[:, :-1]
+        area[first:first + rows] = ((ref[1] - low) * width).sum(axis=1)
+        if exclusive:
+            steps = np.flatnonzero(y < prev)
+            free = np.minimum.accumulate(np.maximum(y, prev), axis=1) - low
+            free *= width
+            level, col = np.divmod(steps, xs.size)
+            areas = np.add.reduceat(free.ravel(), steps) * height[first + level]
+            contrib += np.bincount(order[col], areas, minlength=pts.shape[0])
+    return float(np.sum(area * height)), contrib
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +258,12 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
     [0, t_3], t_j = max(1, ref_j), which holds the row's box [p, ref) for
     any p in [0, 1]^3, and counts the samples inside that box that no other
     row's box covers; returns hits / g times the volume of the sampling
-    space. The draws are one ``random((g, 3))`` block, scaled per component
-    only when a reference component is above 1, so under any other
-    reference the space is [0,1]^3 and the draws are used as drawn. Inside
-    the box another row q covers a sample s exactly when max(q, p) <= s, so
-    the samples are tested only against the distinct clipped rows max(q, p)
-    that no other clipped row weakly covers. Deterministic for a fixed seed.
+    space. The draws are one ``random((g, 3))`` block scaled per component
+    by t, so under a reference of at most 1 (t = 1) they keep their values.
+    Inside the box another row q covers a sample s exactly when
+    max(q, p) <= s, so the samples are tested only against the distinct
+    clipped rows max(q, p) that no other clipped row weakly covers.
+    Deterministic for a fixed seed.
     Exactly 0.0, with no draw, when another row weakly dominates the row or
     the row is not strictly below the reference.
     """
@@ -264,8 +278,7 @@ def mc_contribution(front, tag, ref=UNIT_REF, g: int = 10_000, seed=0) -> float:
         return 0.0
     z = np.random.default_rng(seed).random((int(g), 3)).T.copy()
     span = np.maximum(ref, 1.0)
-    if (span > 1.0).any():
-        z *= span[:, None]
+    z *= span[:, None]
     z = z.compress(((z >= p[:, None]) & (z < ref[:, None])).all(axis=0), axis=1)
     # in lexicographic order a clipped row can be weakly covered only by an
     # earlier one, so this keeps the first of equal rows and drops the rest

@@ -195,35 +195,31 @@ def rank_summary(table: ResultsTable, metric: str) -> dict[str, float]:
     return {m: by_method[m] for m in table.methods}
 
 
-def _critical_values(table: ResultsTable, alpha: float) -> tuple[float, float]:
-    """The chi-square critical values at 1 - alpha for df = methods - 1 and
-    df = datasets - 1."""
-    return (chi2_quantile(1 - alpha, len(table.methods) - 1),
-            chi2_quantile(1 - alpha, len(table.datasets) - 1))
-
-
 def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 0.05) -> dict:
     """Friedman statistic with treatments = methods and treatments = datasets,
     plus the chi-square critical values for both df bases."""
-    return _friedman(table, metric, _critical_values(table, alpha))
+    return _friedman_tests(table, (metric,), alpha)[metric]
 
 
-def _friedman(table: ResultsTable, metric: str, critical: tuple[float, float]) -> dict:
-    """``friedman_both_orientations`` with its two critical values given."""
-    mat, _ = _metric_matrix(table, metric)
-    by_methods, _ = friedman_statistic(mat)
-    by_datasets, _ = friedman_statistic(mat.T)
+def _friedman_tests(table: ResultsTable, metrics, alpha: float) -> dict[str, dict]:
+    """``friedman_both_orientations`` of each metric, keyed by metric; the two
+    critical values are computed once for all of them."""
     k, t = len(table.methods), len(table.datasets)
-    return {
-        "metric": metric,
-        "treatments_methods": {"statistic": by_methods, "df": k - 1,
-                               "critical_value": critical[0]},
-        "treatments_datasets": {"statistic": by_datasets, "df": t - 1,
-                                "critical_value": critical[1]},
-        "note": ("orientations differ: method comparison ranks methods within each "
-                 "dataset (df = methods - 1); tables whose critical value matches "
-                 "df = datasets - 1 ranked datasets within each method"),
-    }
+    critical = chi2_quantile(1 - alpha, k - 1), chi2_quantile(1 - alpha, t - 1)
+    tests = {}
+    for metric in metrics:
+        mat, _ = _metric_matrix(table, metric)
+        tests[metric] = {
+            "metric": metric,
+            "treatments_methods": {"statistic": friedman_statistic(mat)[0], "df": k - 1,
+                                   "critical_value": critical[0]},
+            "treatments_datasets": {"statistic": friedman_statistic(mat.T)[0], "df": t - 1,
+                                    "critical_value": critical[1]},
+            "note": ("orientations differ: method comparison ranks methods within each "
+                     "dataset (df = methods - 1); tables whose critical value matches "
+                     "df = datasets - 1 ranked datasets within each method"),
+        }
+    return tests
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +257,10 @@ def write_report(table: ResultsTable, out_dir, alpha: float = 0.05) -> dict:
 
     summary = {
         "medians": medians,
-        "mean_ranks": {},
-        "friedman": {},
+        "mean_ranks": {metric: rank_summary(table, metric) for metric in METRIC_KEYS},
+        "friedman": _friedman_tests(table, METRIC_KEYS, alpha),
         "cd": cd,
         "alpha": alpha,
     }
-    critical = _critical_values(table, alpha)
-    for metric in METRIC_KEYS:
-        summary["mean_ranks"][metric] = rank_summary(table, metric)
-        summary["friedman"][metric] = _friedman(table, metric, critical)
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return summary

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hvml import pareto
+
 from hvml.errors import DimensionError
 from hvml.pareto import (Front, dominates, exact_contribution, exact_contributions,
                          exact_hypervolume, hv_decomposition, mc_contribution,
@@ -330,7 +332,31 @@ class TestSweepArray:
     def test_nothing_below_the_reference(self):
         pts = np.array([[0.6, 0.2, 0.2], [0.2, 0.2, 0.5]])
         total, got = self.sweep(pts, np.array([0.5, 0.5, 0.5]))
-        assert total == 0.0 and got.tolist() == [0.0, 0.0]
+        # float zeros: `hvml hv` writes them to hv.json as 0.0, not 0
+        assert total == 0.0 and got.dtype == np.float64 and got.tolist() == [0.0, 0.0]
+
+    @REFS
+    @pytest.mark.parametrize("block", [1, 100, 1000])
+    def test_blocks_of_rows(self, messy_front, monkeypatch, block, ref):
+        # blocks of one row, of a few rows and of a partial last block give
+        # the same total bit for bit and contributions within rounding
+        fronts = self.fronts(messy_front, (1, 5, 26, 80))
+        whole = [self.sweep(pts, ref) for pts in fronts]
+        monkeypatch.setattr(pareto, "_BLOCK", block)
+        for pts, (want_total, want) in zip(fronts, whole):
+            total, got = self.sweep(pts, ref)
+            assert total == want_total
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        for pts in fronts[-2:]:
+            self.assert_matches_loop(pts, ref)
+
+    def test_front_larger_than_one_block(self, messy_front):
+        # 800 rows take 800 x 800 entries, more than one block of _BLOCK
+        pts = messy_front(3, 800)
+        levels = np.unique(pts[(pts < 1.0).all(axis=1), 2]).size
+        assert levels * len(pts) > pareto._BLOCK
+        self.assert_matches_loop(pts, (1.0, 1.0, 1.0))
 
 
 class TestDecomposition:
