@@ -180,9 +180,12 @@ def cmd_hv(args) -> int:
             if len(cells) < 3:
                 raise ParseError(f"need at least 3 loss columns, got {len(cells)}", path, lineno)
             try:
-                vecs.append([float(c) for c in cells[-3:]])
+                vec = [float(c) for c in cells[-3:]]
             except ValueError:
                 raise ParseError(f"non-numeric loss value in row {cells!r}", path, lineno) from None
+            if any(v < 0.0 for v in vec):   # a Monte Carlo estimate samples only from 0 up
+                raise ParseError(f"negative loss value in row {cells!r}", path, lineno)
+            vecs.append(vec)
             tag = cells[0] if len(cells) > 3 else f"row{lineno}"
             if tag in tag_lines:
                 raise ParseError(f"tag {tag!r} already names the row on line "

@@ -4,13 +4,17 @@ Datasets are dense: an N x D float feature matrix paired with an N x K
 binary label matrix. Two on-disk formats are supported: multi-label ARFF in
 the Mulan/MEKA convention (labels as {0,1} nominals grouped at the front or
 back of the attribute list, dense or sparse data rows) and a pair of CSV
-files (features, labels).
+files (features, labels). An ARFF data block becomes floats through one
+numpy cast of all its cells; only the distinct strings of label and {0,1}
+columns are read as text.
 
 Splitting follows iterative stratification: 30% of samples to the test set,
 then 20% of the remainder to validation, balancing per-fold label counts
-label by label, rarest label first. Normalization is min-max to [0, 1] per
-numeric column using training-split statistics only; other splits are
-clipped into [0, 1], and binary columns pass through untouched.
+label by label, rarest label first; each label's round selects its
+unassigned positives with one mask and visits only those. Normalization is
+min-max to [0, 1] per numeric column using training-split statistics only;
+other splits are clipped into [0, 1], and binary columns pass through
+untouched.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -173,12 +178,15 @@ def load_arff(path, label_count: int, labels_at: str = "back", name: str | None 
     data rows are both accepted; missing values ('?') are imputed to the
     column mean (numeric) or mode (binary) and counted in ``imputed``
     (features only). A numeric cell that is not a finite number is refused.
+    Labels are checked before features, and the first column at fault is
+    the one named.
     """
     if labels_at not in ("front", "back"):
         raise ConfigError(f"labels_at must be 'front' or 'back', got {labels_at!r}")
     path = Path(path)
     attrs: list[tuple[str, object]] = []
-    rows: list[list[str]] = []
+    rows: list[list[str]] = []        # cells as written, surrounding whitespace kept
+    holes: dict[int, list[int]] = {}  # row -> attributes whose cell is '?'
     relation = None
     in_data = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -200,67 +208,101 @@ def load_arff(path, label_count: int, labels_at: str = "back", name: str | None 
                 else:
                     raise ParseError(f"unrecognized header line: {line!r}", path, lineno)
                 continue
-            rows.append(_parse_arff_row(line, len(attrs), path, lineno))
+            cells = _parse_arff_row(line, len(attrs), path, lineno)
+            if "?" in line:
+                at = [j for j, c in enumerate(cells) if c.strip() == "?"]
+                if at:
+                    holes[len(rows)] = at
+            rows.append(cells)
     if not in_data:
         raise ParseError("no @data section found", path)
     if not rows:
         raise ParseError("no data rows found", path)
-    if not 1 <= label_count < len(attrs):
+    n_attrs = len(attrs)
+    if not 1 <= label_count < n_attrs:
         raise ParseError(
-            f"label_count {label_count} invalid for {len(attrs)} attributes", path
+            f"label_count {label_count} invalid for {n_attrs} attributes", path
         )
-    columns = list(zip(*rows))  # one tuple of cell strings per attribute, '?' for missing
     if labels_at == "back":
-        label_idx = range(len(attrs) - label_count, len(attrs))
+        label_idx, feature_idx = range(n_attrs - label_count, n_attrs), range(n_attrs - label_count)
     else:
-        label_idx = range(label_count)
+        label_idx, feature_idx = range(label_count), range(label_count, n_attrs)
 
-    y = np.zeros((len(rows), label_count), dtype=np.int8)
-    for out_col, col in enumerate(label_idx):
+    def distinct(col: int) -> set[str]:
+        return {c.strip() for c in set(map(itemgetter(col), rows))}
+
+    for col in label_idx:
         attr_name, attr_type = attrs[col]
         if isinstance(attr_type, tuple) and not set(attr_type) <= {"0", "1"}:
             raise ParseError(f"label attribute {attr_name!r} is not {{0,1}}-valued: {sorted(attr_type)}", path)
-        bad = sorted(set(columns[col]) - {"?", "0", "1", "0.0", "1.0"})
+        bad = sorted(distinct(col) - {"?", "0", "1", "0.0", "1.0"})
         if bad:
             raise ParseError(f"label attribute {attr_name!r} has non-binary value {bad[0]!r}", path)
-        y[:, out_col] = _column(columns[col], binary=True)[0]
 
-    feature_idx = [i for i in range(len(attrs)) if i not in label_idx]
-    x = np.zeros((len(rows), len(feature_idx)))
+    missing = np.zeros((len(rows), n_attrs), dtype=bool)
+    numbers = list(rows)  # the rows as the cast reads them: each '?' as 'nan'
+    for i, cols in holes.items():
+        missing[i, cols] = True
+        numbers[i] = ["nan" if m else c for c, m in zip(rows[i], missing[i].tolist())]
+    try:
+        block = np.array(numbers, dtype=float)
+        cast = True
+    except ValueError:  # some cell is not a number: cast column by column to name it
+        block = np.empty((len(rows), n_attrs))
+        cast = False
+
+    def column(col: int, binary: bool) -> np.ndarray:
+        """Column col of the block with each '?' cell set to the mean of the
+        observed cells (0 when none is observed), rounded for a {0,1} column.
+        Raises ValueError when a cell is not a number."""
+        if not cast:
+            block[:, col] = np.array([r[col].strip() for r in numbers], dtype=float)
+        vals = block[:, col]
+        hole = missing[:, col]
+        if hole.any():
+            observed = vals[~hole]
+            mean = observed.mean() if observed.size else 0.0
+            vals[hole] = round(mean) if binary else mean
+        return vals
+
+    for col in label_idx:
+        column(col, binary=True)
     kinds: list[str] = []
-    imputed = 0
-    for out_col, col in enumerate(feature_idx):
+    for col in feature_idx:
         attr_name, attr_type = attrs[col]
-        cells = columns[col]
         if isinstance(attr_type, tuple):
             if not set(attr_type) <= {"0", "1"}:
                 raise ParseError(
                     f"nominal feature {attr_name!r} is not binary: {sorted(attr_type)}", path
                 )
             try:
-                binary = {float(c) for c in set(cells) - {"?"}} <= {0.0, 1.0}
+                binary = {float(c) for c in distinct(col) - {"?"}} <= {0.0, 1.0}
             except ValueError:
                 binary = False
             if not binary:
                 raise ParseError(f"binary feature {attr_name!r} has non-binary data", path)
-            x[:, out_col], n_missing = _column(cells, binary=True)
+            column(col, binary=True)
             kinds.append(BINARY)
         else:
             try:
-                x[:, out_col], n_missing = _column(cells, binary=False)
+                vals = column(col, binary=False)
             except ValueError:
                 raise ParseError(f"non-numeric value in numeric attribute {attr_name!r}", path) from None
-            if not np.isfinite(x[:, out_col]).all():
+            if not np.isfinite(vals).all():
                 raise ParseError(f"non-finite value in numeric attribute {attr_name!r}", path)
             kinds.append(NUMERIC)
-        imputed += n_missing
+    imputed = int(missing[:, feature_idx.start:feature_idx.stop].sum())
     if imputed:
         logger.warning("%s: imputed %d missing feature values", path, imputed)
-    return Dataset(x=x, y=y, feature_kinds=tuple(kinds),
-                   name=name or relation or path.stem, imputed=imputed)
+    return Dataset(x=block[:, feature_idx.start:feature_idx.stop],
+                   y=block[:, label_idx.start:label_idx.stop].astype(np.int8),
+                   feature_kinds=tuple(kinds), name=name or relation or path.stem,
+                   imputed=imputed)
 
 
 def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> list[str]:
+    """The cells of one data line, with the whitespace around a dense line's
+    cells kept: the float cast skips it, and the string checks strip it."""
     if line.startswith("{"):
         if not line.endswith("}"):
             raise ParseError("unterminated sparse data row", path, lineno)
@@ -278,24 +320,9 @@ def _parse_arff_row(line: str, n_attrs: int, path, lineno: int) -> list[str]:
         return row
     # only a quoted cell needs the csv quoting rules
     cells = next(csv.reader([line], skipinitialspace=True)) if '"' in line else line.split(",")
-    cells = [c.strip() for c in cells]
     if len(cells) != n_attrs:
         raise ParseError(f"row has {len(cells)} values, expected {n_attrs}", path, lineno)
     return cells
-
-
-def _column(cells: tuple[str, ...], binary: bool) -> tuple[np.ndarray, int]:
-    """A column's cells as floats, and its count of '?' cells. Each '?' takes
-    the mean of the observed cells (0 when none is observed), rounded for a
-    {0,1} column. A cell that is not a number raises ValueError."""
-    if "?" not in cells:
-        return np.array(cells, dtype=float), 0
-    missing = np.array([c == "?" for c in cells])
-    vals = np.array([c if c != "?" else "nan" for c in cells], dtype=float)
-    observed = vals[~missing]
-    mean = observed.mean() if observed.size else 0.0
-    vals[missing] = round(mean) if binary else mean
-    return vals, int(missing.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -419,43 +446,53 @@ def normalize(dataset: Dataset) -> Dataset:
 
 def _iterative_stratify(y: np.ndarray, proportions, rng: np.random.Generator) -> np.ndarray:
     """Assign each sample to one of len(proportions) folds, balancing per-fold
-    label counts label by label, rarest label first. Ties on the target fold
-    go to the fold with the most remaining capacity, then to a seeded draw."""
-    n, k = y.shape
+    label counts label by label, rarest label first.
+
+    Samples are visited in one seeded permutation. Each round masks out the
+    unassigned positives of the label with the fewest of them (the lower
+    index on a tie) and gives each, in visiting order, to the fold that wants
+    the most of that label; ties go to the fold with the most remaining
+    capacity, then to a seeded draw. Samples with no positive label come
+    last, each to the fold with the most remaining capacity (ties: a seeded
+    draw)."""
+    n = y.shape[0]
     props = np.asarray(proportions, dtype=float)
     props = props / props.sum()
-    fold_capacity = props * n
+    capacity = (props * n).tolist()
     label_desired = props[:, None] * y.sum(axis=0)[None, :]
-    fold_of = np.full(n, -1, dtype=np.int64)
-    priority = rng.permutation(n)  # fixed iteration order for sample processing
+    priority = rng.permutation(n)
+    positives = y[priority] > 0                  # rows in visiting order
+    fold_of = np.full(n, -1, dtype=np.int64)     # in visiting order
+    remaining = positives.sum(axis=0)
 
-    while True:
-        unassigned = fold_of < 0
-        remaining = y[unassigned].sum(axis=0) if unassigned.any() else np.zeros(k)
-        candidates = np.flatnonzero(remaining > 0)
-        if candidates.size == 0:
-            break
-        label = candidates[np.argmin(remaining[candidates])]
-        for s in priority:
-            if fold_of[s] >= 0 or y[s, label] == 0:
-                continue
-            want = label_desired[:, label]
-            best = np.flatnonzero(want == want.max())
-            if best.size > 1:
-                cap = fold_capacity[best]
-                best = best[np.flatnonzero(cap == cap.max())]
-            j = int(best[0]) if best.size == 1 else int(rng.choice(best))
-            fold_of[s] = j
-            fold_capacity[j] -= 1.0
-            label_desired[j, y[s] > 0] -= 1.0
-    for s in priority:  # samples with no positive label
-        if fold_of[s] >= 0:
-            continue
-        best = np.flatnonzero(fold_capacity == fold_capacity.max())
-        j = int(best[0]) if best.size == 1 else int(rng.choice(best))
+    def assign(s: int, folds) -> int:
+        """Give sample s to the one of folds with the most remaining capacity
+        (ties: a seeded draw)."""
+        most = max(capacity[f] for f in folds)
+        best = [f for f in folds if capacity[f] == most]
+        j = best[0] if len(best) == 1 else int(rng.choice(np.array(best)))
         fold_of[s] = j
-        fold_capacity[j] -= 1.0
-    return fold_of
+        capacity[j] -= 1.0
+        return j
+
+    while remaining.any():
+        candidates = np.flatnonzero(remaining > 0)
+        label = candidates[np.argmin(remaining[candidates])]
+        picked = np.flatnonzero((fold_of < 0) & positives[:, label])
+        want = label_desired[:, label].tolist()
+        for s in picked.tolist():
+            top = max(want)
+            j = assign(s, [f for f, w in enumerate(want) if w == top])
+            want[j] -= 1.0
+            # one sample at a time: subtracting a count at once can round
+            # differently once the wanted count is below 0
+            label_desired[j] -= positives[s]
+        remaining -= positives[picked].sum(axis=0)
+    for s in np.flatnonzero(fold_of < 0).tolist():   # samples with no positive label
+        assign(s, range(len(capacity)))
+    folds = np.empty(n, dtype=np.int64)
+    folds[priority] = fold_of
+    return folds
 
 
 def stratified_split(dataset: Dataset, seed: int) -> SplitIndices:

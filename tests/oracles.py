@@ -368,3 +368,47 @@ def dense_sample_population(state, seed):
     if state.sigma == 0.0:
         return np.tile(state.mean, (state.lambda_pop, 1))
     return state.mean + state.sigma * (z @ np.linalg.cholesky(dense_covariance(state)).T)
+
+
+def loop_iterative_stratify(y, proportions, rng):
+    """Iterative stratification by a scan of every sample per label round
+    (the package's former implementation): rarest remaining label first,
+    each of its unassigned positives, in one seeded permutation's order, to
+    the fold that most wants the label, ties to the fold with the most
+    remaining capacity, then to ``rng.choice``; samples with no positive
+    label last, to the fold with the most remaining capacity."""
+    n, k = y.shape
+    props = np.asarray(proportions, dtype=float)
+    props = props / props.sum()
+    fold_capacity = props * n
+    label_desired = props[:, None] * y.sum(axis=0)[None, :]
+    fold_of = np.full(n, -1, dtype=np.int64)
+    priority = rng.permutation(n)  # fixed iteration order for sample processing
+
+    while True:
+        unassigned = fold_of < 0
+        remaining = y[unassigned].sum(axis=0) if unassigned.any() else np.zeros(k)
+        candidates = np.flatnonzero(remaining > 0)
+        if candidates.size == 0:
+            break
+        label = candidates[np.argmin(remaining[candidates])]
+        for s in priority:
+            if fold_of[s] >= 0 or y[s, label] == 0:
+                continue
+            want = label_desired[:, label]
+            best = np.flatnonzero(want == want.max())
+            if best.size > 1:
+                cap = fold_capacity[best]
+                best = best[np.flatnonzero(cap == cap.max())]
+            j = int(best[0]) if best.size == 1 else int(rng.choice(best))
+            fold_of[s] = j
+            fold_capacity[j] -= 1.0
+            label_desired[j, y[s] > 0] -= 1.0
+    for s in priority:  # samples with no positive label
+        if fold_of[s] >= 0:
+            continue
+        best = np.flatnonzero(fold_capacity == fold_capacity.max())
+        j = int(best[0]) if best.size == 1 else int(rng.choice(best))
+        fold_of[s] = j
+        fold_capacity[j] -= 1.0
+    return fold_of

@@ -171,7 +171,10 @@ class TestHv:
         ("0.5,0.5,0.5\n", ["--ref", "1,1"], 2, "DimensionError", "reference"),
         ("0.5,0.5,0.5\n", ["--mc-samples", -5], 3, "ConfigError", "--mc-samples"),
         ("l1,l2,l3\n", ["--mc-samples", -5], 3, "ConfigError", "--mc-samples"),
-    ], ids=["two-component-ref", "negative-mc-samples", "negative-mc-samples-header-only"])
+        ("b,0.2,0.3,0.4\na,-0.5,0.5,0.5\n", ["--mc-samples", 100_000, "--seed", 7], 2,
+         "ParseError", "front.csv:2: negative loss value"),
+    ], ids=["two-component-ref", "negative-mc-samples", "negative-mc-samples-header-only",
+            "negative-loss"])
     def test_refused_request_writes_nothing(self, tmp_path, capsys, body, flags, code, error,
                                             names):
         front = tmp_path / "front.csv"

@@ -9,6 +9,8 @@ from hvml.data import (Dataset, compute_stats, load_arff, load_csv, load_manifes
                        normalize, stratified_split)
 from hvml.errors import ConfigError, ParseError
 
+from oracles import loop_iterative_stratify
+
 TOY_ARFF = """% toy multi-label file
 @relation toy
 
@@ -179,12 +181,55 @@ red,1
         '"x""y",2.0,0,1,0', "1.0\t,\t2.0,0,1,0",
     ])
     def test_dense_cells_equal_the_csv_reader_cells(self, line):
+        # up to the whitespace around a cell, which the loader's float cast
+        # and its label and {0,1} checks skip
         expect = [c.strip() for c in next(csv.reader([line], skipinitialspace=True))]
         if len(expect) == 5:
-            assert data._parse_arff_row(line, 5, "f.arff", 1) == expect
+            assert [c.strip() for c in data._parse_arff_row(line, 5, "f.arff", 1)] == expect
         else:
             with pytest.raises(ParseError, match=f"row has {len(expect)} values"):
                 data._parse_arff_row(line, 5, "f.arff", 1)
+
+    def test_padded_quoted_sparse_and_missing_cells(self, tmp_path):
+        # padded cells, labels written 1.0 and 0.0, a quoted line, a sparse
+        # line, and '?' (padded or not) in a numeric feature, a {0,1}
+        # feature and a label
+        text = """@relation padded
+@attribute num numeric
+@attribute flag {0,1}
+@attribute other real
+@attribute la {0,1}
+@attribute lb {0,1}
+@data
+ 1 ,1,\t0.5,1.0,0
+2.5, ? ,1e-3,0.0,1
+"3", 0 , ? ,1,?
+{0 4, 1 1, 3 1, 4 1}
+?,1,\t-2 ,0 , 1
+"""
+        ds = load_arff(write_toy_arff(tmp_path, text), label_count=2)
+        other = [0.5, 1e-3, 0.0, -2.0]
+        want_x = np.array([[1.0, 1.0, 0.5], [2.5, 1.0, 1e-3], [3.0, 0.0, np.mean(other)],
+                           [4.0, 1.0, 0.0], [np.mean([1.0, 2.5, 3.0, 4.0]), 1.0, -2.0]])
+        assert ds.x.tobytes() == want_x.tobytes()
+        assert ds.y.tolist() == [[1, 0], [0, 1], [1, 1], [1, 1], [0, 1]]
+        assert ds.feature_kinds == ("numeric", "binary", "numeric")
+        assert ds.imputed == 3
+        assert ds.name == "padded"
+
+    def test_bad_label_is_named_before_a_bad_feature(self, tmp_path):
+        text = TOY_ARFF.replace("2.0,4.0,1,0,1", "2.0,abc,1,0,2")
+        with pytest.raises(ParseError, match="label attribute 'labelB' has non-binary value '2'"):
+            load_arff(write_toy_arff(tmp_path, text), label_count=2)
+
+    @pytest.mark.parametrize("cell", ["1\x1c", "\x1c0.5"])
+    def test_whitespace_the_cast_refuses_is_stripped(self, tmp_path, cell):
+        # str.strip removes U+001C but numpy's cast refuses it; the cells still
+        # load as stripped numbers
+        text = TOY_ARFF.replace("2.0,4.0,1,0,1", f"2.0,{cell},1,0,1")
+        ds = load_arff(write_toy_arff(tmp_path, text), label_count=2)
+        assert ds.x[1, 1] == float(cell.strip())
+
 
 class TestArffRoundTrip:
     """Random feature and label matrices written as ARFF (17 significant
@@ -192,9 +237,12 @@ class TestArffRoundTrip:
     back bit for bit, with each '?' imputed by its column's rule."""
 
     @staticmethod
-    def _write(path, x, y, binary, x_missing, y_missing, labels_at, rng):
+    def _write(path, x, y, binary, x_missing, y_missing, labels_at, rng, pad):
         def cell(v, is_binary, missing):
-            return "?" if missing else str(int(v)) if is_binary else f"{v:.17g}"
+            text = "?" if missing else str(int(v)) if is_binary else f"{v:.17g}"
+            if pad and rng.random() < 0.5:
+                text = rng.choice([" ", "\t"]) + text + rng.choice(["", " ", " \t"])
+            return text
 
         feats = [f"@attribute f{j} {'{0,1}' if b else 'numeric'}" for j, b in enumerate(binary)]
         labels = [f"@attribute l{j} {{0,1}}" for j in range(y.shape[1])]
@@ -213,6 +261,13 @@ class TestArffRoundTrip:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_loads_back_bit_for_bit(self, tmp_path, seed):
+        self._check(tmp_path, seed, pad=False)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_padded_cells_load_back_bit_for_bit(self, tmp_path, seed):
+        self._check(tmp_path, seed, pad=True)
+
+    def _check(self, tmp_path, seed, pad):
         rng = np.random.default_rng(seed)
         n, d, k = int(rng.integers(2, 40)), int(rng.integers(1, 8)), int(rng.integers(1, 5))
         binary = rng.random(d) < 0.4
@@ -222,7 +277,7 @@ class TestArffRoundTrip:
         x_missing, y_missing = rng.random((n, d)) < 0.15, rng.random((n, k)) < 0.15
         labels_at = ("front", "back")[seed % 2]
         path = tmp_path / "rt.arff"
-        self._write(path, x, y, binary, x_missing, y_missing, labels_at, rng)
+        self._write(path, x, y, binary, x_missing, y_missing, labels_at, rng, pad)
 
         want_x, want_y = x.astype(float), y.astype(float)
         for want, missing, rounded in ((want_x, x_missing, binary),
@@ -413,6 +468,62 @@ class TestStratifiedSplit:
                      y=np.ones((5, 1), dtype=np.int8), feature_kinds=("numeric",) * 2)
         with pytest.raises(ConfigError):
             stratified_split(ds, 0)
+
+
+class _CountingRng:
+    """A seeded generator that counts its ``choice`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.choices = 0
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
+
+    def choice(self, a):
+        self.choices += 1
+        return self._rng.choice(a)
+
+
+def _label_matrices():
+    base = (np.random.default_rng(0).random((60, 4)) < 0.3).astype(np.int8)
+    one_positive, all_positive, empty_rows = base.copy(), base.copy(), base.copy()
+    one_positive[:, 1] = 0
+    one_positive[17, 1] = 1
+    all_positive[:, 2] = 1
+    empty_rows[:20] = 0
+    return {"k1": base[:, :1], "one-positive": one_positive, "all-positive": all_positive,
+            "rows-without-positives": empty_rows, "n10": base[:10]}
+
+
+class TestIterativeStratifyOracle:
+    """The per-label mask pass gives the folds of the former scan over all
+    samples per label (tests/oracles.py), with the same seeded draws."""
+
+    @pytest.mark.parametrize("proportions", [(0.7, 0.3), (0.8, 0.2), (0.5, 0.5), (1, 1, 1)])
+    @pytest.mark.parametrize("case", sorted(_label_matrices()))
+    def test_same_folds_and_draws_as_the_loop(self, case, proportions):
+        y = _label_matrices()[case]
+        draws = 0
+        for seed in range(10):
+            got_rng, want_rng = _CountingRng(seed), _CountingRng(seed)
+            got = data._iterative_stratify(y, proportions, got_rng)
+            want = loop_iterative_stratify(y, proportions, want_rng)
+            assert got.tolist() == want.tolist()
+            assert got_rng.choices == want_rng.choices
+            draws += got_rng.choices
+        if len(set(proportions)) == 1:  # equal folds tie on the first sample
+            assert draws >= 10
+
+    @pytest.mark.parametrize("n,d,k", [(2417, 103, 14), (593, 72, 6)])
+    def test_benchmark_shapes_split_as_the_loop(self, monkeypatch, n, d, k):
+        ds = synth.linear_multilabel(n=n, d=d, k=k, seed=n)
+        got = [stratified_split(ds, seed) for seed in range(20)]
+        monkeypatch.setattr(data, "_iterative_stratify", loop_iterative_stratify)
+        for seed, split in enumerate(got):
+            want = stratified_split(ds, seed)
+            for part in ("train", "validation", "test"):
+                assert np.array_equal(getattr(split, part), getattr(want, part))
 
 
 class TestStats:
