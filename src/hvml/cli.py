@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import secrets
 import sys
@@ -44,8 +45,14 @@ _NUMERIC_ERRORS = (NumericError, FloatingPointError, np.linalg.LinAlgError)
 _RUN_TYPES = {"manifest": str, **trainer.FIELD_TYPES}
 
 
+def _json(obj, **kwargs) -> str:
+    """``obj`` as indented JSON; a NaN or infinity, which strict parsers refuse, raises."""
+    return json.dumps(obj, indent=2, allow_nan=False, **kwargs)
+
+
 def _fail(exc: Exception, code: int) -> int:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code}))
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code},
+                     allow_nan=False))
     return code
 
 
@@ -89,7 +96,7 @@ def _out_dir(args, command: str) -> Path:
 def _write_resolved(out: Path, command: str, resolved: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "resolved_config.json").write_text(
-        json.dumps({"command": command, **resolved}, indent=2, sort_keys=True))
+        _json({"command": command, **resolved}, sort_keys=True))
 
 
 def _losses_json(lv, bce) -> dict:
@@ -160,8 +167,8 @@ def cmd_train(args) -> int:
         "archive_size": len(result.archive),
         "archive_hv": result.archive_hv[-1],
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    print(json.dumps(summary, indent=2))
+    (out / "summary.json").write_text(_json(summary))
+    print(_json(summary))
     return EXIT_OK
 
 
@@ -183,8 +190,10 @@ def cmd_hv(args) -> int:
                 vec = [float(c) for c in cells[-3:]]
             except ValueError:
                 raise ParseError(f"non-numeric loss value in row {cells!r}", path, lineno) from None
-            if any(v < 0.0 for v in vec):   # a Monte Carlo estimate samples only from 0 up
-                raise ParseError(f"negative loss value in row {cells!r}", path, lineno)
+            # a Monte Carlo estimate samples only from 0 up
+            if not all(0.0 <= v < math.inf for v in vec):
+                raise ParseError(f"negative loss value, or one that is not a finite number, "
+                                 f"in row {cells!r}", path, lineno)
             vecs.append(vec)
             tag = cells[0] if len(cells) > 3 else f"row{lineno}"
             if tag in tag_lines:
@@ -208,16 +217,19 @@ def cmd_hv(args) -> int:
     out = _out_dir(args, "hv")
     _write_resolved(out, "hv", {"front": str(path), "ref": list(map(float, ref)),
                                 "mc_samples": args.mc_samples, "seed": args.seed or 0})
-    (out / "hv.json").write_text(json.dumps({"total": total, "rows": report_rows}, indent=2))
+    (out / "hv.json").write_text(_json({"total": total, "rows": report_rows}))
     print("\n".join(lines))
     return EXIT_OK
 
 
 def _parse_ref(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        ref = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise ParseError(f"--ref must be comma-separated numbers, got {text!r}") from None
+    if not np.isfinite(ref).all():
+        raise ParseError(f"--ref must be finite numbers, got {text!r}")
+    return ref
 
 
 def _is_float(s: str) -> bool:
@@ -235,8 +247,8 @@ def cmd_stats(args) -> int:
     _write_resolved(out, "stats", {"manifest": str(args.manifest)})
     payload = asdict(stats)
     payload["name"] = ds.name
-    (out / "stats.json").write_text(json.dumps(payload, indent=2))
-    print(json.dumps(payload, indent=2))
+    (out / "stats.json").write_text(_json(payload))
+    print(_json(payload))
     return EXIT_OK
 
 
@@ -248,7 +260,7 @@ def cmd_report(args) -> int:
     out = _out_dir(args, "report")
     summary = report.write_report(table, out, alpha=args.alpha)
     _write_resolved(out, "report", {"results": str(args.results), "alpha": args.alpha})
-    print(json.dumps({"medians": summary["medians"], "cd": summary["cd"]}, indent=2))
+    print(_json({"medians": summary["medians"], "cd": summary["cd"]}))
     return EXIT_OK
 
 
@@ -290,7 +302,7 @@ def cmd_sweep(args) -> int:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
-    print(json.dumps(rows, indent=2))
+    print(_json(rows))
     return EXIT_OK
 
 
@@ -306,8 +318,8 @@ def cmd_eval(args) -> int:
                                   "threshold": config.threshold, "seed": config.seed})
     lv, bce = trainer.evaluate(state.incumbent.params, dataset, args.split, config.threshold)
     payload = _losses_json(lv, bce)
-    (out / "eval.json").write_text(json.dumps(payload, indent=2))
-    print(json.dumps(payload, indent=2))
+    (out / "eval.json").write_text(_json(payload))
+    print(_json(payload))
     return EXIT_OK
 
 

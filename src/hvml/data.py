@@ -126,7 +126,7 @@ class DatasetStats:
     k: int
     dk: int
     cardinality: float   # mean positive labels per instance
-    dispersion: float    # dk / cardinality
+    dispersion: float | None   # dk / cardinality; None when no sample has a positive label
     interaction: float   # d * cardinality
 
 
@@ -139,7 +139,7 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
         k=dataset.k,
         dk=dk,
         cardinality=card,
-        dispersion=dk / card if card > 0 else float("inf"),
+        dispersion=dk / card if card > 0 else None,
         interaction=dataset.d * card,
     )
 

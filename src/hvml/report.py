@@ -3,7 +3,8 @@
 A results table holds one loss triple per (dataset, method) cell, loaded
 from CSV. The module derives per-cell geometric means and per-method
 medians, per-dataset hypervolume contributions, Friedman statistics with
-midrank ties, and the Bonferroni-Dunn critical difference.
+midrank ties, and the Bonferroni-Dunn critical difference, whose z comes from
+``statistics.NormalDist``; chi-square critical values come from bisection.
 
 Published tables sometimes carry an aggregate column computed from unrounded
 losses; when the input CSV provides a ``geometric_mean`` column its values
@@ -30,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, pareto
-from .errors import GridError, ParseError
-from .quantiles import chi2_quantile, normal_quantile
+from .errors import GridError, NumericError, ParseError
 
 GM_KEY = "gm"
 METRIC_KEYS = ("l1", "l2", "l3", GM_KEY)
@@ -68,7 +68,7 @@ class ResultsTable:
             if (d, m) in cells:
                 raise ParseError(f"duplicate (dataset, method) pair: ({d}, {m})")
             vec = np.array([float(row["l1"]), float(row["l2"]), float(row["l3"])])
-            if (vec < 0).any() or (vec > 1).any():
+            if not ((vec >= 0) & (vec <= 1)).all():   # a NaN fails both compares
                 raise ParseError(f"loss components out of [0,1] for ({d}, {m})")
             cells[(d, m)] = vec
             if d not in datasets:
@@ -76,7 +76,10 @@ class ResultsTable:
             if m not in methods:
                 methods.append(m)
             if row.get("geometric_mean") not in (None, ""):
-                aggregates[(d, m)] = float(row["geometric_mean"])
+                gm = float(row["geometric_mean"])
+                if not 0.0 <= gm <= 1.0:
+                    raise ParseError(f"geometric_mean out of [0,1] for ({d}, {m})")
+                aggregates[(d, m)] = gm
         return cls(tuple(datasets), tuple(methods), cells,
                    aggregates if len(aggregates) == len(cells) else None)
 
@@ -129,33 +132,26 @@ def contribution_table(table: ResultsTable, ref=pareto.UNIT_REF):
 
 
 def midranks(values) -> np.ndarray:
-    """Ranks 1..n of values (ascending), ties sharing the average position."""
-    v = np.asarray(values, dtype=float)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n along the last axis (ascending), ties sharing the average
+    position: (count below + count at or below + 1) / 2."""
+    v = np.asarray(values, dtype=float)[..., np.newaxis]
+    w = v.swapaxes(-1, -2)
+    return ((w < v).sum(axis=-1) + (w <= v).sum(axis=-1) + 1) / 2.0
 
 
 def friedman_statistic(values: np.ndarray) -> tuple[float, np.ndarray]:
     """Friedman chi-square over a blocks x treatments matrix (lower = better).
 
     Returns (statistic, mean rank per treatment). Ties within a block share
-    midranks.
+    midranks; a NaN, which has no rank, is refused (NumericError).
     """
     mat = np.asarray(values, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2 or mat.shape[1] < 2:
         raise GridError(f"friedman needs at least a 2x2 grid, got shape {mat.shape}")
-    ranks = np.vstack([midranks(row) for row in mat])
+    if np.isnan(mat).any():
+        raise NumericError("friedman cannot rank a NaN value")
     t, k = mat.shape
-    mean_ranks = ranks.mean(axis=0)
+    mean_ranks = midranks(mat).mean(axis=0)
     stat = 12.0 * t / (k * (k + 1)) * float(np.sum((mean_ranks - (k + 1) / 2.0) ** 2))
     return stat, mean_ranks
 
@@ -165,53 +161,41 @@ def critical_difference(k: int, t: int, alpha: float = 0.05) -> float:
     datasets: z_{alpha/(2(k-1))} * sqrt(k(k+1)/(6t))."""
     if k < 2 or t < 2:
         raise GridError("critical difference needs k >= 2 methods and t >= 2 datasets")
-    z = normal_quantile(1.0 - alpha / (2.0 * (k - 1)))
+    from statistics import NormalDist   # on use: importing it adds ~4 ms to every start-up
+    z = NormalDist().inv_cdf(1.0 - alpha / (2.0 * (k - 1)))
     return z * math.sqrt(k * (k + 1) / (6.0 * t))
-
-
-def _metric_matrix(table: ResultsTable, metric: str) -> tuple[np.ndarray, list[str]]:
-    """datasets x methods value matrix for one metric (lower = better).
-
-    Rows and columns are laid out in sorted label order so that results do
-    not depend on the order rows appeared in the input file (floating-point
-    summation is not associative)."""
-    table.require_full_grid()
-    datasets = sorted(table.datasets)
-    methods = sorted(table.methods)
-    if metric == GM_KEY:
-        values = table.aggregates if table.aggregates is not None else geometric_means(table)
-        mat = np.array([[values[(d, m)] for m in methods] for d in datasets])
-    else:
-        idx = {"l1": 0, "l2": 1, "l3": 2}[metric]
-        mat = np.array([[table.cells[(d, m)][idx] for m in methods] for d in datasets])
-    return mat, methods
-
-
-def rank_summary(table: ResultsTable, metric: str) -> dict[str, float]:
-    """Each method's mean rank under one metric, ranking methods within each
-    dataset (the method-comparison orientation), in the table's method order."""
-    mat, methods = _metric_matrix(table, metric)
-    by_method = dict(zip(methods, friedman_statistic(mat)[1].tolist()))
-    return {m: by_method[m] for m in table.methods}
 
 
 def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 0.05) -> dict:
     """Friedman statistic with treatments = methods and treatments = datasets,
     plus the chi-square critical values for both df bases."""
-    return _friedman_tests(table, (metric,), alpha)[metric]
+    return _friedman_tests(table, alpha)[0][metric]
 
 
-def _friedman_tests(table: ResultsTable, metrics, alpha: float) -> dict[str, dict]:
-    """``friedman_both_orientations`` of each metric, keyed by metric; the two
-    critical values are computed once for all of them."""
-    k, t = len(table.methods), len(table.datasets)
+def _friedman_tests(table: ResultsTable, alpha: float) -> tuple[dict, dict]:
+    """``friedman_both_orientations`` of every metric, and each method's mean
+    rank under it (methods ranked within each dataset, in the table's method
+    order), both keyed by metric.
+
+    The metrics are laid out once as a datasets x methods x metrics array in
+    sorted label order, so that results do not depend on the order rows
+    appeared in the input file (floating-point summation is not
+    associative); the two critical values serve every metric."""
+    table.require_full_grid()
+    datasets, methods = sorted(table.datasets), sorted(table.methods)
+    gms = table.aggregates if table.aggregates is not None else geometric_means(table)
+    values = np.array([[[*table.cells[(d, m)], gms[(d, m)]] for m in methods] for d in datasets])
+    k, t = len(methods), len(datasets)
     critical = chi2_quantile(1 - alpha, k - 1), chi2_quantile(1 - alpha, t - 1)
-    tests = {}
-    for metric in metrics:
-        mat, _ = _metric_matrix(table, metric)
+    tests, mean_ranks = {}, {}
+    for i, metric in enumerate(METRIC_KEYS):
+        mat = values[..., i]
+        statistic, ranks = friedman_statistic(mat)
+        rank_of = dict(zip(methods, ranks.tolist()))
+        mean_ranks[metric] = {m: rank_of[m] for m in table.methods}
         tests[metric] = {
             "metric": metric,
-            "treatments_methods": {"statistic": friedman_statistic(mat)[0], "df": k - 1,
+            "treatments_methods": {"statistic": statistic, "df": k - 1,
                                    "critical_value": critical[0]},
             "treatments_datasets": {"statistic": friedman_statistic(mat.T)[0], "df": t - 1,
                                     "critical_value": critical[1]},
@@ -219,7 +203,70 @@ def _friedman_tests(table: ResultsTable, metrics, alpha: float) -> dict[str, dic
                      "dataset (df = methods - 1); tables whose critical value matches "
                      "df = datasets - 1 ranked datasets within each method"),
         }
-    return tests
+    return tests, mean_ranks
+
+
+def _gammainc_lower(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(a, x) for a > 0 and x >= 0."""
+    if x == 0.0:
+        return 0.0
+    lg = math.lgamma(a)
+    if x < a + 1.0:
+        # series expansion
+        term = 1.0 / a
+        total = term
+        n = a
+        for _ in range(500):
+            n += 1.0
+            term *= x / n
+            total += term
+            if abs(term) < abs(total) * 1e-16:
+                break
+        return total * math.exp(-x + a * math.log(x) - lg)
+    # continued fraction for Q(a, x)
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    q = math.exp(-x + a * math.log(x) - lg) * h
+    return 1.0 - q
+
+
+def chi2_quantile(p: float, df: int) -> float:
+    """Inverse chi-square CDF by bisection on the incomplete gamma function."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    if df < 1:
+        raise ValueError("df must be >= 1")
+    a = df / 2.0
+    hi = float(df)
+    while _gammainc_lower(a, hi / 2.0) < p:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break   # adjacent floats: further steps leave (lo + hi) / 2 at mid
+        if _gammainc_lower(a, mid / 2.0) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +302,8 @@ def write_report(table: ResultsTable, out_dir, alpha: float = 0.05) -> dict:
         for m in table.methods:
             fh.write(f"{m},{medians[m]:.3f}\n")
 
-    summary = {
-        "medians": medians,
-        "mean_ranks": {metric: rank_summary(table, metric) for metric in METRIC_KEYS},
-        "friedman": _friedman_tests(table, METRIC_KEYS, alpha),
-        "cd": cd,
-        "alpha": alpha,
-    }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    friedman, mean_ranks = _friedman_tests(table, alpha)
+    summary = {"medians": medians, "mean_ranks": mean_ranks, "friedman": friedman,
+               "cd": cd, "alpha": alpha}
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False))
     return summary

@@ -22,6 +22,7 @@ uninterrupted one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import typing
 import zipfile
@@ -62,11 +63,13 @@ class TrainConfig:
     archive_cap: int = _setting(512, "most points the validation archive keeps", low=1)
 
     def __post_init__(self):
-        """Refuse every value that no run could use, so a run is refused
-        before it writes anything; ``mu`` against a default population size
-        needs the parameter count and is checked by ``initial_state``."""
+        """Refuse every value no run could use (a float that is not finite
+        too) before a run writes anything; ``mu`` against a default
+        population size needs the parameter count: ``initial_state`` checks it."""
         for f in fields(self):
             low, value = f.metadata["low"], getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value}")
             if low is not None and value is not None and value < low:
                 raise ConfigError(f"{f.name} must be >= {low}, got {value}")
         if self.mu is not None and self.lambda_pop is not None and self.mu >= self.lambda_pop:
@@ -95,7 +98,8 @@ def _fits(value, hint) -> bool:
 def check_json(values: dict, path, types: dict = FIELD_TYPES) -> None:
     """Refuse, as ``ParseError`` naming the JSON file ``path`` and the key, a
     config that holds a key not in ``types`` (by default the TrainConfig
-    fields) or a value that does not fit its key's type."""
+    fields), a value that does not fit its key's type or a ``NaN`` or
+    ``Infinity``."""
     if not isinstance(values, dict):
         raise ParseError("config must be a JSON object", path)
     unknown = sorted(set(values) - set(types))
@@ -106,6 +110,8 @@ def check_json(values: dict, path, types: dict = FIELD_TYPES) -> None:
         if not _fits(value, hint):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ParseError(f"config key {key} must be {name}, got {value!r}", path)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParseError(f"config key {key} must be a finite number, got {value!r}", path)
 
 
 @dataclass
@@ -313,7 +319,7 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
     try:
         with open(tmp, "wb") as fh:
             np.savez(
-                fh, meta=json.dumps(meta),
+                fh, meta=json.dumps(meta, allow_nan=False),
                 mean=state.cma.mean, cov_steps=state.cma.cov_steps,
                 archive_points=state.archive.points,
                 archive_tags=np.array(state.archive.tags, dtype=str),

@@ -412,3 +412,21 @@ def loop_iterative_stratify(y, proportions, rng):
         fold_of[s] = j
         fold_capacity[j] -= 1.0
     return fold_of
+
+
+def loop_midranks(values):
+    """Ranks 1..n of a vector (ascending), ties sharing the average position,
+    by one pass over the stably sorted values and their tie groups (the
+    package's former implementation)."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size)
+    sv = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks

@@ -21,8 +21,23 @@ def toy_manifest(tmp_path, write_csv):
     return manifest
 
 
+@pytest.fixture()
+def unlabeled_manifest(tmp_path):
+    """A 4-sample dataset in which no sample has a positive label."""
+    np.savetxt(tmp_path / "x0.csv", np.arange(8.0).reshape(4, 2), delimiter=",")
+    np.savetxt(tmp_path / "y0.csv", np.zeros((4, 3)), delimiter=",", fmt="%d")
+    manifest = tmp_path / "unlabeled.json"
+    manifest.write_text(json.dumps({"csv_paths": ["x0.csv", "y0.csv"]}))
+    return manifest
+
+
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def refuse_constant(token):
+    """A ``parse_constant`` for json.loads that refuses NaN, Infinity and -Infinity."""
+    raise ValueError(f"not strict JSON: {token}")
 
 
 def edit_meta(run_dir, edit):
@@ -50,6 +65,12 @@ class TestStats:
         assert payload["dk"] == 8
         assert payload["dispersion"] * payload["cardinality"] == pytest.approx(8, abs=0.01)
         assert (out / "resolved_config.json").exists()
+
+    def test_no_positive_label_gives_null_dispersion(self, unlabeled_manifest, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["stats", "--manifest", unlabeled_manifest, "--out", out]) == 0
+        payload = json.loads((out / "stats.json").read_text(), parse_constant=refuse_constant)
+        assert payload["cardinality"] == 0.0 and payload["dispersion"] is None
 
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = run_cli(["stats", "--manifest", tmp_path / "absent.json", "--out", tmp_path / "o"])
@@ -173,8 +194,14 @@ class TestHv:
         ("l1,l2,l3\n", ["--mc-samples", -5], 3, "ConfigError", "--mc-samples"),
         ("b,0.2,0.3,0.4\na,-0.5,0.5,0.5\n", ["--mc-samples", 100_000, "--seed", 7], 2,
          "ParseError", "front.csv:2: negative loss value"),
+        ("a,nan,0.5,0.5\nb,0.2,0.3,0.4\n", ["--mc-samples", 1000, "--seed", 7], 2,
+         "ParseError", "front.csv:1: negative loss value, or one that is not a finite"),
+        ("b,0.2,0.3,0.4\na,0.5,inf,0.5\n", [], 2,
+         "ParseError", "front.csv:2: negative loss value, or one that is not a finite"),
+        ("0.5,0.5,0.5\n", ["--ref", "1,1,nan"], 2, "ParseError", "--ref must be finite"),
+        ("0.5,0.5,0.5\n", ["--ref", "1,inf,1"], 2, "ParseError", "--ref must be finite"),
     ], ids=["two-component-ref", "negative-mc-samples", "negative-mc-samples-header-only",
-            "negative-loss"])
+            "negative-loss", "nan-loss", "inf-loss", "nan-ref", "inf-ref"])
     def test_refused_request_writes_nothing(self, tmp_path, capsys, body, flags, code, error,
                                             names):
         front = tmp_path / "front.csv"
@@ -267,6 +294,29 @@ class TestReport:
                         "--out", tmp_path / "o"]) == 3
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ConfigError" and "--alpha" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cells,names", [
+        (("0.1,nan,0.3", "", ""), "loss components"),
+        (("0.1,0.2,0.3", "nan", "0.2"), "geometric_mean"),
+        (("0.1,0.2,0.3", "inf", "0.2"), "geometric_mean"),
+        (("0.1,0.2,0.3", "1.5", "0.2"), "geometric_mean"),
+        (("0.1,0.2,0.3", "-0.1", "0.2"), "geometric_mean"),
+    ], ids=["nan-loss", "nan-geometric-mean", "inf-geometric-mean",
+            "geometric-mean-above-1", "negative-geometric-mean"])
+    def test_cell_that_is_not_a_number_in_range_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, cells, names):
+        first, gm, other_gm = cells
+        gm_column = ",geometric_mean" if gm else ""
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"dataset,method,l1,l2,l3{gm_column}\n"
+                       f"a,m1,{first}{',' + gm if gm else ''}\n"
+                       + "".join(f"{d},{m},0.2,0.3,0.4{',' + other_gm if gm else ''}\n"
+                                 for d, m in (("a", "m2"), ("b", "m1"), ("b", "m2"))))
+        assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and names in err["message"]
+        assert "(a, m1)" in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_incomplete_grid_exits_3(self, tmp_path, capsys):
@@ -507,6 +557,36 @@ class TestTrain:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ConfigError" and key in err["message"]
         assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("bad,key", [
+        (["--sigma", "nan"], "sigma"), (["--sigma", "inf"], "sigma"),
+        (["--c-cov", "nan"], "c_cov"),
+    ])
+    def test_setting_that_is_not_finite_exits_3_and_writes_nothing(
+            self, toy_manifest, tmp_path, capsys, command, bad, key):
+        sizes = ["--embedding", 3] if command == "train" else ["--c-list", 3]
+        assert run_cli([command, "--manifest", toy_manifest, "--seed", 5, "--epochs", 1,
+                        *sizes, *bad, "--out", tmp_path / "o"]) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert f"{key} must be a finite number" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("key,value", [
+        ("sigma", float("nan")), ("c_cov", float("inf")), ("threshold", float("-inf")),
+    ])
+    def test_config_value_that_is_not_finite_exits_2_and_writes_nothing(
+            self, toy_manifest, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({"manifest": str(toy_manifest), key: value}))
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        assert run_cli([command, "--config", cfg, "--out", tmp_path / "o", "--seed", 1]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "nan.json" in err["message"] and f"config key {key}" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_archive_cap_below_one_exits_3(self, toy_manifest, tmp_path, capsys, cap):
@@ -882,3 +962,34 @@ def test_commands_do_not_mutate_inputs(toy_manifest, tmp_path, capsys):
              "--seed", 1, "--epochs", 1, "--embedding", 3, "--lambda-pop", 8, "--mu", 3])
     for path, blob in before.items():
         assert path.read_bytes() == blob
+
+
+def test_every_output_is_strict_json(toy_manifest, unlabeled_manifest, tmp_path, capsys):
+    # every command on its fixtures, each JSON file, printout and checkpoint
+    # meta parsed with NaN and Infinity refused; the dataset with no positive
+    # label has no finite dispersion
+    front = tmp_path / "front.csv"
+    front.write_text("a,0.2,0.8,0.5\nb,0.8,0.2,0.5\nc,0.9,0.9,0.9\n")
+    run = ["--seed", 3, "--epochs", 2, "--lambda-pop", 8, "--mu", 3]
+    commands = {
+        "train": ["train", "--manifest", toy_manifest, "--embedding", 3, *run],
+        "sweep": ["sweep", "--manifest", toy_manifest, "--c-list", "2,3", *run],
+        "eval": ["eval", "--checkpoint", tmp_path / "train", "--manifest", toy_manifest],
+        "hv": ["hv", front, "--mc-samples", 1000, "--seed", 7],
+        "stats": ["stats", "--manifest", toy_manifest],
+        "stats_unlabeled": ["stats", "--manifest", unlabeled_manifest],
+        "report": ["report", benchmark_results_path()],
+    }
+    for name, args in commands.items():
+        capsys.readouterr()
+        assert run_cli([*args, "--out", tmp_path / name]) == 0, name
+        printed = capsys.readouterr().out
+        if name != "hv":   # hv prints plain lines
+            json.loads(printed, parse_constant=refuse_constant)
+        written = [path.read_text() for path in (tmp_path / name).glob("*.json")]
+        if name == "train":   # the checkpoint's meta entry
+            with np.load(tmp_path / name / "state.npz") as blob:
+                written.append(blob["meta"].item())
+        assert written, name
+        for text in written:
+            json.loads(text, parse_constant=refuse_constant)

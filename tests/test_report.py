@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from hvml import benchmark_results_path, quantiles, report
-from hvml.errors import GridError, ParseError
-from hvml.quantiles import chi2_quantile, normal_quantile
-from hvml.report import (ResultsTable, contribution_table, critical_difference,
+from hvml import benchmark_results_path, report
+from hvml.errors import GridError, NumericError, ParseError
+from hvml.report import (ResultsTable, chi2_quantile, contribution_table, critical_difference,
                          friedman_both_orientations, friedman_statistic, geometric_means,
-                         method_medians, midranks, rank_summary)
+                         method_medians, midranks)
+
+from oracles import loop_midranks
 
 TABLE1_MEDIANS = {"CLML": 0.240, "DELA": 0.254, "CLIF": 0.269, "MLKNN": 0.249,
                   "C2AE": 0.394, "GNB-CC": 0.415, "GNB-BR": 0.481}
@@ -109,6 +110,18 @@ class TestFriedman:
             r = midranks(row)
             assert r.sum() == pytest.approx(6 * 7 / 2)
 
+    def test_midranks_equal_the_loop_bit_for_bit(self):
+        # each row of a matrix ranked along the last axis, as the former
+        # per-row loop over tie groups ranked it
+        rng = np.random.default_rng(2)
+        for _ in range(1000):
+            t, k = rng.integers(1, 10, size=2)
+            mat = rng.integers(0, rng.integers(1, 6), (t, k)) / 4.0
+            want = np.vstack([loop_midranks(row) for row in mat])
+            got = midranks(mat)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(midranks(mat[0]), want[0])
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)
         mat = rng.random((7, 5))
@@ -128,12 +141,18 @@ class TestFriedman:
             assert both["treatments_methods"]["df"] == 6
             assert both["treatments_methods"]["critical_value"] == pytest.approx(12.592, abs=0.01)
 
-    def test_methods_orientation_mean_ranks(self, table):
-        mean_ranks = rank_summary(table, "gm")
+    def test_methods_orientation_mean_ranks(self, table, tmp_path):
+        mean_ranks = report.write_report(table, tmp_path)["mean_ranks"]["gm"]
         assert list(mean_ranks) == list(table.methods)
         assert sum(mean_ranks.values()) == pytest.approx(7 * 8 / 2)
         # the control method achieves the best (lowest) mean rank on gm
         assert min(mean_ranks, key=mean_ranks.get) == "CLML"
+
+    def test_nan_refused(self):
+        mat = np.random.default_rng(3).random((4, 3))
+        mat[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            friedman_statistic(mat)
 
     def test_needs_at_least_two_by_two(self):
         with pytest.raises(GridError):
@@ -162,16 +181,12 @@ class TestCriticalDifference:
 
 
 class TestQuantiles:
-    def test_normal_quantile_known_values(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959963985, abs=1e-8)
-        assert normal_quantile(0.995) == pytest.approx(2.575829304, abs=1e-8)
-        assert normal_quantile(0.5) == 0.0
-        assert normal_quantile(0.025) == pytest.approx(-1.959963985, abs=1e-8)
-
-    def test_normal_quantile_vs_scipy(self):
-        st = pytest.importorskip("scipy.stats")
-        for p in (1e-7, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9958333, 1 - 1e-7):
-            assert normal_quantile(p) == pytest.approx(st.norm.ppf(p), abs=1e-8)
+    def test_published_constants_bit_for_bit(self):
+        # the bits of the published constants: the critical difference's z
+        # from statistics.NormalDist, the chi-square values by bisection
+        assert critical_difference(7, 9, 0.05) == 2.6866697018833383
+        assert chi2_quantile(0.95, 6) == 12.591587243743977
+        assert chi2_quantile(0.95, 8) == 15.507313055865446
 
     def test_chi2_quantile_vs_scipy(self):
         st = pytest.importorskip("scipy.stats")
@@ -183,12 +198,12 @@ class TestQuantiles:
         # stopping once the midpoint repeats an end must not change a bit
         def full_bisection(p, df):
             a, hi = df / 2.0, float(df)
-            while quantiles._gammainc_lower(a, hi / 2.0) < p:
+            while report._gammainc_lower(a, hi / 2.0) < p:
                 hi *= 2.0
             lo = 0.0
             for _ in range(200):
                 mid = (lo + hi) / 2.0
-                if quantiles._gammainc_lower(a, mid / 2.0) < p:
+                if report._gammainc_lower(a, mid / 2.0) < p:
                     lo = mid
                 else:
                     hi = mid
