@@ -26,6 +26,12 @@ split's labels once per run (``Truth``: 2-D, non-empty, 0/1) and each
 candidate's score matrix once (``Scores``: 2-D, non-empty, finite, inside
 [0, 1]), not once per loss. Prepared and plain inputs give bit-identical
 losses.
+
+``block_losses`` takes all four losses of a block of candidates at once,
+from the label-major (B, K, N) scores of ``model.forward_population`` over
+the rows of one or more splits side by side, each split's ``Truth`` placed
+at its columns of the block. It gives, bit for bit, what the per-candidate
+functions give on each candidate's N x K scores of each split.
 """
 
 from __future__ import annotations
@@ -76,20 +82,37 @@ class Truth:
     1 / (positives in its row * rows with a positive), so that LRAP is the
     weighted sum of the positives' precisions. Every loss accepts a Truth
     wherever it accepts a plain truth matrix.
+
+    For ``block_losses`` it also holds its placement in a label-major block
+    of ``columns`` samples whose columns ``offset`` on are its rows: each
+    positive's column there (``block_cols``) and, in row-major order, each
+    positive's and each negative's flat (label * columns + column) position
+    in one candidate's (K, columns) scores (``block_pos``, ``block_neg``).
+    By default the block is the matrix's own rows.
     """
 
-    __slots__ = ("matrix", "rows", "flat", "neg_flat", "row_truth", "weights", "positives")
+    __slots__ = ("matrix", "rows", "flat", "neg_flat", "row_truth", "weights", "positives",
+                 "offset", "columns", "block_cols", "block_pos", "block_neg")
 
-    def __init__(self, truth):
+    def __init__(self, truth, offset: int = 0, columns: int | None = None):
         self.matrix = _binary("truth", truth)
+        n, k = self.matrix.shape
         self.flat = np.flatnonzero(self.matrix)
         self.neg_flat = np.flatnonzero(~self.matrix)
-        self.rows = self.flat // self.matrix.shape[1]
+        self.rows = self.flat // k
         self.row_truth = np.ascontiguousarray(self.matrix[self.rows].T)
         self.positives = int(self.rows.size)
         per_row = np.count_nonzero(self.matrix, axis=1)
         counted = np.count_nonzero(per_row)
         self.weights = 1.0 / (per_row[self.rows] * counted) if counted else np.empty(0)
+        self.offset, self.columns = offset, n if columns is None else columns
+        if offset < 0 or offset + n > self.columns:
+            raise DimensionError(f"{n} truth rows do not fit at column {offset} of a block of "
+                                 f"{self.columns}")
+        self.block_cols = offset + self.rows
+        self.block_pos = self.flat % k * self.columns + self.block_cols
+        neg_rows, neg_labels = np.divmod(self.neg_flat, k)
+        self.block_neg = neg_labels * self.columns + offset + neg_rows
 
 
 class Scores:
@@ -103,12 +126,17 @@ class Scores:
     __slots__ = ("matrix",)
 
     def __init__(self, scores):
-        s = _as_2d("scores", scores)
-        if not (s.min() >= 0.0 and s.max() <= 1.0):
-            if not np.isfinite(s).all():
-                raise DimensionError("scores contains non-finite entries")
-            raise DimensionError("scores entries must lie in [0, 1]")
-        self.matrix = s
+        self.matrix = _checked_range(_as_2d("scores", scores))
+
+
+def _checked_range(s: np.ndarray) -> np.ndarray:
+    """``s`` if every entry lies in [0, 1]; else ``DimensionError`` naming the
+    broken rule (non-finite entries, or entries outside the interval)."""
+    if not (s.min() >= 0.0 and s.max() <= 1.0):
+        if not np.isfinite(s).all():
+            raise DimensionError("scores contains non-finite entries")
+        raise DimensionError("scores entries must lie in [0, 1]")
+    return s
 
 
 def _truth(truth, like: np.ndarray) -> Truth:
@@ -122,10 +150,14 @@ def _scores(scores) -> np.ndarray:
     return (scores if isinstance(scores, Scores) else Scores(scores)).matrix
 
 
-def binarize(scores, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Threshold scores into a boolean label matrix; the boundary is inclusive."""
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+
+
+def binarize(scores, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """Threshold scores into a boolean label matrix; the boundary is inclusive."""
+    _check_threshold(threshold)
     return _scores(scores) >= threshold
 
 
@@ -134,6 +166,11 @@ def hamming_loss(pred, truth) -> float:
     p = _binary("pred", pred)
     t = _truth(truth, p)
     return float(np.count_nonzero(p != t.matrix) / p.size)
+
+
+def _check_defined(t: Truth) -> None:
+    if t.positives == 0:
+        raise UndefinedMetricError("LRAP is undefined: no sample has a positive label")
 
 
 def lrap(scores, truth) -> float:
@@ -148,8 +185,7 @@ def lrap(scores, truth) -> float:
     """
     s = _scores(scores)
     t = _truth(truth, s)
-    if t.positives == 0:
-        raise UndefinedMetricError("LRAP is undefined: no sample has a positive label")
+    _check_defined(t)
     # [k, p]: label k of positive p's row scores at least as high as p
     at_least = np.take(s.T, t.rows, axis=1) >= s.take(t.flat)
     rank = np.add.reduce(at_least, axis=0, dtype=np.intp)   # competition "max" rank of p
@@ -199,6 +235,52 @@ def loss_vector(scores, truth, threshold: float = DEFAULT_THRESHOLD) -> LossVect
         l2=1.0 - lrap(scores, t),
         l3=1.0 - micro_f1(pred, t),
     )
+
+
+def block_losses(scores: np.ndarray, splits, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
+    """l1, l2, l3 and BCE of every candidate of a label-major (B, K, N) block
+    of scores against each split of ``splits``, a sequence of ``Truth`` placed
+    in the block: an (S, B, 4) array. The block is checked (finite, inside
+    [0, 1]) and thresholded once. Per split, the positives' own scores are
+    one gather by ``block_pos``; hamming and micro F1 come from the counts of
+    predicted positives and of those among the true ones, LRAP from one (B,
+    K, positives) comparison with the scores in each positive's column, and
+    BCE from the positives' and negatives' gathered scores, each summed in
+    the per-candidate order."""
+    _check_threshold(threshold)
+    s = _checked_range(np.ascontiguousarray(scores, dtype=float))
+    b, k, n = s.shape
+    counts = np.min_scalar_type(k)
+    flat = s.reshape(b, k * n)
+    pred = s >= threshold
+    out = np.empty((len(splits), b, 4))
+    for t, o in zip(splits, out):
+        rows = t.matrix.shape[0]
+        if (k, n) != (t.matrix.shape[1], t.columns):
+            raise DimensionError(f"shape mismatch: scores of {k} labels over {n} samples vs truth "
+                                 f"of {t.matrix.shape[1]} labels placed in {t.columns}")
+        _check_defined(t)
+        own = flat.take(t.block_pos, axis=1)    # C order: each row sums as a vector
+        hits = np.add.reduce(pred[:, :, t.offset:t.offset + rows], axis=(1, 2), dtype=np.intp)
+        tp = np.add.reduce(own >= threshold, axis=1, dtype=np.intp)
+        fp, fn = hits - tp, t.positives - tp
+        o[:, 0] = (fp + fn) / t.matrix.size
+        denom = 2.0 * tp + fp + fn
+        o[:, 2] = 1.0 - np.divide(2.0 * tp, denom, out=np.ones(b), where=denom != 0.0)
+        # [b, k, p]: label k of positive p's row scores at least as high as p,
+        # as 0/1 bytes counted in the smallest unsigned type that holds K
+        at_least = (s.take(t.block_cols, axis=2) >= own[:, None, :]).view(np.uint8)
+        rank = np.add.reduce(at_least, axis=1, dtype=counts)
+        at_least &= t.row_truth
+        true_above = np.add.reduce(at_least, axis=1, dtype=counts)
+        o[:, 1] = 1.0 - (t.weights * (true_above / rank)).sum(axis=1)
+        pos = np.clip(own, BCE_EPS, 1.0 - BCE_EPS)
+        neg = np.clip(flat.take(t.block_neg, axis=1), BCE_EPS, 1.0 - BCE_EPS)
+        np.log(pos, out=pos)
+        np.negative(neg, out=neg)
+        np.log1p(neg, out=neg)
+        o[:, 3] = -(pos.sum(axis=1) + neg.sum(axis=1)) / rows
+    return out
 
 
 def geometric_mean(v) -> float:

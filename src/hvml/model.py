@@ -6,21 +6,33 @@ The network maps an N x D feature matrix to N x K label scores in (0, 1):
     h2 = hidden(h1 @ W + b_w)       feedforward, C -> C
     Y  = sigmoid(h2 @ Dec + b_dec)  decoder, C -> K
 
-``hidden`` is 0.5 + 0.5 tanh(z / 2), the logistic of z, for the per-row
-z-score z (population standard deviation, guarded divisor), taken within
-each sample's embedding, never across the batch, so each output row depends
-only on its own input row; |z| <= sqrt(C - 1) keeps the tanh form accurate.
-The decoder keeps the exact logistic, which resolves scores far below 0.5
-that the tanh form would round to 0. Scores agree with the former hidden
-layers (the exact logistic of the z-score) within 1e-12 relative, unless a
-row's spread is tiny against its mean. All learnable parameters live in one
-flat vector so a derivative-free optimizer can treat the model as a point
-in R^L, with L = D*C + C + C*C + C + C*K + K.
+``hidden`` is the logistic 1 / (1 + e^-z) of the z-score z of each
+sample's embedding (population standard deviation, guarded divisor), taken
+within the sample, never across the batch, so each output row depends only
+on its own input row, to rounding (within 1e-12 relative);
+|z| <= sqrt(C - 1) keeps e^-z finite for any C below 500,000. The decoder's
+input has no such bound, so its logistic never takes e^x of a positive x.
+Scores agree with the former hidden layers (the exact logistic of the
+z-score, then 0.5 + 0.5 tanh(z / 2)) within 1e-12 relative, except where a
+sample's spread is tiny against its mean: there the former centring lost
+digits that a shift by the sample's first entry, made before centring,
+keeps, and a sample of equal entries maps to exactly 0.5 whatever their
+value. All learnable parameters live in one flat vector so a
+derivative-free optimizer can treat the model as a point in R^L, with
+L = D*C + C + C*C + C + C*K + K.
 
-``forward`` takes a plain feature matrix, which it checks on each call
-(2-D, D columns, finite), or a ``Features`` checked once: the trainer checks
-its stacked training and validation rows once per run, not once per
-candidate. The checked-once and per-call inputs give bit-identical scores.
+There is one forward kernel, ``forward_population``: it scores a block of B
+parameter vectors at once, with one encoder product ``[E_1|...|E_B]^T X^T``,
+and works label-major, on (B, C, N) and (B, K, N) arrays, so that every
+layer after the encoder is one batched product and one elementwise pass
+over the block. ``forward`` is its one-candidate call. The trainer scores a
+population in blocks of ``block_size`` candidates; a candidate's scores
+depend in their last bits on the block it is scored in.
+
+Both take a plain feature matrix, which they check on each call (2-D, D
+columns, finite), or a ``Features`` checked once: the trainer checks its
+stacked training and validation rows once per run, not once per block. The
+checked-once and per-call inputs give bit-identical scores.
 """
 
 from __future__ import annotations
@@ -32,6 +44,9 @@ import numpy as np
 from .errors import DimensionError, NumericError
 
 ROW_STD_EPS = 1e-8
+# most entries of one (candidates x max(C, K) x rows) layer array of a block
+# of the population (512 KB as float64)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,39 +89,47 @@ class ModelParams:
         return cls(np.zeros(shape.n_params), shape)
 
 
-def unpack(params: ModelParams):
-    """Split the flat vector into (E, b_e, W, b_w, Dec, b_dec) views, the blocks
-    laid out in that order, each row-major."""
-    d, c, k = params.shape.d, params.shape.c, params.shape.k
-    flat = params.flat
-    o1 = d * c
-    o2 = o1 + c
-    o3 = o2 + c * c
-    o4 = o3 + c
-    o5 = o4 + c * k
+def _layers(flats: np.ndarray, shape: ModelShape):
+    """Split a (..., L) array of flat vectors into (E, b_e, W, b_w, Dec, b_dec)
+    views of shapes (..., D, C), (..., C), (..., C, C), (..., C), (..., C, K)
+    and (..., K), the blocks laid out in that order, each row-major."""
+    d, c, k = shape.d, shape.c, shape.k
+    lead = flats.shape[:-1]
+    o1, o2, o3, o4, o5 = np.cumsum([d * c, c, c * c, c, c * k])
     return (
-        flat[:o1].reshape(d, c),
-        flat[o1:o2],
-        flat[o2:o3].reshape(c, c),
-        flat[o3:o4],
-        flat[o4:o5].reshape(c, k),
-        flat[o5:],
+        flats[..., :o1].reshape(*lead, d, c),
+        flats[..., o1:o2],
+        flats[..., o2:o3].reshape(*lead, c, c),
+        flats[..., o3:o4],
+        flats[..., o4:o5].reshape(*lead, c, k),
+        flats[..., o5:],
     )
 
 
+def unpack(params: ModelParams):
+    """Split the flat vector into (E, b_e, W, b_w, Dec, b_dec) views, the blocks
+    laid out in that order, each row-major."""
+    return _layers(params.flat, params.shape)
+
+
 def _hidden(a: np.ndarray) -> np.ndarray:
-    """The hidden-layer activation of an N x C matrix, in place; returns
-    ``a``. Each row is centred, scaled by 0.5 over its population standard
-    deviation (at least ``ROW_STD_EPS``) and mapped to 0.5 + 0.5 tanh. The
-    row mean and sum of squares are row products, not short-row reductions."""
-    n = a.shape[1]
-    a -= (a @ np.full(n, 1.0 / n))[:, None]
-    std = np.sqrt(np.einsum("ij,ij->i", a, a) / n)
-    a *= (0.5 / np.maximum(std, ROW_STD_EPS))[:, None]
-    np.tanh(a, out=a)
-    a *= 0.5
-    a += 0.5
-    return a
+    """The hidden-layer activation of a label-major (..., C, N) array, in
+    place; returns ``a``. Each sample (a column of C entries) is shifted by
+    its first entry, so that a sample of equal entries is all zeros and maps
+    to exactly 0.5, then centred and divided by its population standard
+    deviation (at least ``ROW_STD_EPS``), and its z-score z is mapped to the
+    logistic 1 / (1 + e^-z). The sums run across the C axis, one row of N
+    samples at a time; the sum of squares is one einsum, with no squared
+    copy of ``a``."""
+    c = a.shape[-2]
+    a -= a[..., :1, :].copy()
+    a -= np.add.reduce(a, axis=-2, keepdims=True) / c
+    scale = np.sqrt(np.einsum("...cn,...cn->...n", a, a) / c)
+    np.maximum(scale, ROW_STD_EPS, out=scale)
+    a *= (-1.0 / scale)[..., None, :]
+    np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -125,9 +148,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 class Features:
     """A feature matrix checked once for a model shape: 2-D, ``shape.d``
-    columns, finite. ``forward`` accepts one wherever it accepts a plain
-    matrix and then only compares its column count with the model's, so the
-    trainer pays the checks once per run instead of once per candidate."""
+    columns, finite. The forward kernel accepts one wherever it accepts a
+    plain matrix and then only compares its column count with the model's,
+    so the trainer pays the checks once per run instead of once per block."""
 
     __slots__ = ("matrix",)
 
@@ -142,20 +165,40 @@ class Features:
         self.matrix = xm
 
 
-def forward(params: ModelParams, x) -> np.ndarray:
-    """Score an N x D feature matrix (plain or ``Features``); returns an
-    N x K matrix in (0, 1)."""
+def block_size(shape: ModelShape, rows: int) -> int:
+    """Candidates per block of ``forward_population`` over ``rows`` samples:
+    as many as keep each layer array within ``_BLOCK`` entries, at least one."""
+    return max(1, _BLOCK // (max(shape.c, shape.k) * rows))
+
+
+def forward_population(flats: np.ndarray, shape: ModelShape, x) -> np.ndarray:
+    """Score an N x D feature matrix (plain or ``Features``) under each row of
+    a (B, L) array of finite parameter vectors (not checked here: the trainer
+    checks a population once); returns the label-major (B, K, N) array of
+    scores in (0, 1). The encoder is one product of the B transposed
+    encoders stacked with the transposed features (a view: no copy of X),
+    which gives the (B, C, N) embeddings in place; the feedforward and
+    decoder layers are batched products of each candidate's transposed
+    matrix with its (C, N) embeddings."""
     if not isinstance(x, Features):
-        x = Features(x, params.shape)
-    elif x.matrix.shape[1] != params.shape.d:   # checked for another shape
-        raise DimensionError(f"input has {x.matrix.shape[1]} columns, model expects "
-                             f"{params.shape.d}")
+        x = Features(x, shape)
+    elif x.matrix.shape[1] != shape.d:   # checked for another shape
+        raise DimensionError(f"input has {x.matrix.shape[1]} columns, model expects {shape.d}")
     xm = x.matrix
-    e, b_e, w, b_w, dec, b_dec = unpack(params)
-    a = xm @ e
-    a += b_e
-    a = _hidden(a) @ w
-    a += b_w
-    a = _hidden(a) @ dec
-    a += b_dec
-    return _sigmoid(a)
+    b, n, c = flats.shape[0], xm.shape[0], shape.c
+    e, b_e, w, b_w, dec, b_dec = _layers(flats, shape)
+    encoders = e.transpose(0, 2, 1).reshape(b * c, shape.d)    # [E_1|...|E_B]^T
+    h = (encoders @ xm.T).reshape(b, c, n)
+    h += b_e[..., None]
+    h = np.matmul(w.transpose(0, 2, 1), _hidden(h))
+    h += b_w[..., None]
+    y = np.matmul(dec.transpose(0, 2, 1), _hidden(h))
+    y += b_dec[..., None]
+    return _sigmoid(y)
+
+
+def forward(params: ModelParams, x) -> np.ndarray:
+    """Score an N x D feature matrix (plain or ``Features``) under one model;
+    returns an N x K matrix in (0, 1), ``forward_population``'s one-candidate
+    scores transposed."""
+    return forward_population(params.flat[None], params.shape, x)[0].T

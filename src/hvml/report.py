@@ -95,6 +95,8 @@ class ResultsTable:
                 return cls.from_rows(list(reader))
             except (ValueError, KeyError) as exc:
                 raise ParseError(f"malformed results row: {exc}", path) from None
+            except ParseError as exc:   # a refused cell: name the file
+                raise ParseError(str(exc), path) from None
 
 
 def geometric_means(table: ResultsTable) -> dict[tuple[str, str], float]:

@@ -1,11 +1,14 @@
 """The training loop: hypervolume-contribution fitness driving a CMA-ES.
 
-Each epoch samples a population of parameter vectors and scores every
-candidate with one forward pass over the training and validation rows
-stacked together (each output row depends only on its own input row; the
-stacked rows are checked once per run, ``model.Features``), then takes the
-losses of each split against its label matrix, which is checked and indexed
-once per run (``losses.Truth``). A candidate's fitness is
+Each epoch samples a population of parameter vectors, checks it once, and
+scores it in blocks of ``model.block_size`` candidates: one forward pass of
+a block over the training and validation rows stacked together
+(``model.forward_population``; each output row depends only on its own
+input row, to rounding (within 1e-12 relative); the stacked rows are checked
+once per run, ``model.Features``), then one pass for the losses of every
+candidate of the block on both splits (``losses.block_losses``), against
+label matrices checked, indexed and placed in the stack once per run
+(``losses.Truth``). A candidate's fitness is
 its exclusive hypervolume contribution within its own generation: the
 volume of loss space it alone dominates among the population's TRAINING
 loss vectors, bounded by the unit reference vector. Validation losses go
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import cmaes, losses, model, pareto, seeds
 from .data import Dataset
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, NumericError, ParseError
 from .losses import LossVector
 
 LOSS_KEYS = ("l1", "l2", "l3", "l4")
@@ -165,13 +168,23 @@ def evaluate(params: model.ModelParams, dataset: Dataset, split: str,
              threshold: float = 0.5) -> tuple[LossVector, float]:
     """Loss vector and BCE of a model on one split of a dataset."""
     x, y = dataset.rows(split)
-    return _split_losses(model.forward(params, x), losses.Truth(y), threshold)
+    l1, l2, l3, bce = _population_losses(params.flat[None], params.shape, x,
+                                         (losses.Truth(y),), threshold)[0, 0].tolist()
+    return LossVector(l1, l2, l3), bce
 
 
-def _split_losses(scores, truth: losses.Truth, threshold: float) -> tuple[LossVector, float]:
-    """Loss vector and BCE of one split's scores; the scores are checked once."""
-    checked = losses.Scores(scores)
-    return losses.loss_vector(checked, truth, threshold), losses.bce(checked, truth)
+def _population_losses(population: np.ndarray, shape: model.ModelShape, x, splits,
+                       threshold: float) -> np.ndarray:
+    """The (splits, candidates, 4) array of l1-l3 and BCE of every row of a
+    (candidates, L) population on the rows of ``x`` (plain or
+    ``model.Features``), against each split's ``losses.Truth`` placed in
+    them: one forward pass and one loss pass per block of candidates."""
+    block = model.block_size(shape, splits[0].columns)
+    out = np.empty((len(splits), population.shape[0], 4))
+    for first in range(0, population.shape[0], block):
+        scores = model.forward_population(population[first:first + block], shape, x)
+        out[:, first:first + block] = losses.block_losses(scores, splits, threshold)
+    return out
 
 
 def _prune_archive(front: pareto.Front, cap: int) -> pareto.Front:
@@ -219,45 +232,44 @@ def train(dataset: Dataset, config: TrainConfig,
     x_tr, y_tr = dataset.rows("train")
     x_va, y_va = dataset.rows("validation")
     features = model.Features(np.concatenate([x_tr, x_va]), state.shape)
-    n_tr = x_tr.shape[0]
-    truth_tr, truth_va = losses.Truth(y_tr), losses.Truth(y_va)
-
-    def eval_candidate(p):
-        scores = model.forward(p, features)
-        return (_split_losses(scores[:n_tr], truth_tr, config.threshold),
-                _split_losses(scores[n_tr:], truth_va, config.threshold))
+    n_tr, n_all = x_tr.shape[0], features.matrix.shape[0]
+    splits = (losses.Truth(y_tr, 0, n_all), losses.Truth(y_va, n_tr, n_all))
 
     cma = state.cma
     for epoch in range(state.epoch + 1, config.epochs + 1):
         population = cmaes.sample_population(
             cma, seeds.seed_sequence(config.seed, seeds.STREAM_SAMPLE, epoch))
-        params = [model.ModelParams(theta, state.shape) for theta in population]
+        if not np.isfinite(population).all():
+            raise NumericError("parameter vector contains non-finite entries")
+        scored = _population_losses(population, state.shape, features, splits, config.threshold)
+        tr, va = scored.tolist()    # per candidate: l1-l3, BCE
+        val = scored[1]
 
-        evals = [eval_candidate(p) for p in params]
-        train_vecs = np.array([np.asarray(tr[0]) for tr, _ in evals])
-        val = np.array([(*va_lv, va_bce) for _, (va_lv, va_bce) in evals])  # l1-l3, BCE
+        def kept(i):
+            return Incumbent(model.ModelParams(population[i], state.shape), LossVector(*va[i][:3]),
+                             va[i][3], epoch=epoch, candidate=i)
 
         # fitness: each candidate's exclusive contribution among the
         # generation's own training loss vectors, bounded by the unit vector.
         # Scoped to the generation, the front is never empty; contributions
         # against the all-time archive starve to zero once it outruns the
         # distribution.
-        tags = tuple(str(i) for i in range(len(params)))
-        fitness = pareto.exact_contributions(pareto.Front(train_vecs, tags))[1]
+        tags = tuple(str(i) for i in range(len(population)))
+        fitness = pareto.exact_contributions(pareto.Front(scored[0, :, :3], tags))[1]
 
         # archives and curves use validation losses only
-        for i, ((tr_lv, tr_bce), (va_lv, va_bce)) in enumerate(evals):
+        for i, (tr_i, va_i) in enumerate(zip(tr, va)):
             state.curves.append(CandidateRecord(
-                epoch=epoch, candidate=i, train=tr_lv, train_bce=tr_bce,
-                validation=va_lv, validation_bce=va_bce, fitness=float(fitness[i])))
+                epoch=epoch, candidate=i, train=LossVector(*tr_i[:3]), train_bce=tr_i[3],
+                validation=LossVector(*va_i[:3]), validation_bce=va_i[3],
+                fitness=float(fitness[i])))
         # a per-loss best moves to the generation's first lowest value only
         # when that is strictly below the value held
         for j, key in enumerate(LOSS_KEYS):
             i, held = int(np.argmin(val[:, j])), state.best_per_loss[key]
             if val[i, j] < (*held.validation, held.validation_bce)[j]:
-                state.best_per_loss[key] = Incumbent(params[i], *evals[i][1],
-                                                     epoch=epoch, candidate=i)
-        val_pairs = [(val[i, :3], f"e{epoch}c{i}") for i in range(len(params))]
+                state.best_per_loss[key] = kept(i)
+        val_pairs = [(val[i, :3], f"e{epoch}c{i}") for i in range(len(population))]
         state.archive = pareto.update_reference_set(state.archive, val_pairs)
         state.archive = _prune_archive(state.archive, config.archive_cap)
         state.archive_hv.append(pareto.exact_hypervolume(state.archive))
@@ -266,9 +278,7 @@ def train(dataset: Dataset, config: TrainConfig,
         order = np.argsort(-fitness, kind="stable")
         cma = cmaes.evolve(cma, population[order[: cma.mu]])
 
-        best_i = int(order[0])
-        state.incumbent = Incumbent(params[best_i], *evals[best_i][1],
-                                    epoch=epoch, candidate=best_i)
+        state.incumbent = kept(int(order[0]))
         state.cma = cma
         state.epoch = epoch
 

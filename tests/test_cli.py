@@ -316,7 +316,20 @@ class TestReport:
         assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "ParseError" and names in err["message"]
-        assert "(a, m1)" in err["message"]
+        assert "(a, m1)" in err["message"] and err["message"].startswith(f"{bad}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body,names", [
+        ("a,m1,0.1,nan,0.3\na,m2,0.2,0.3,0.4\nb,m1,0.3,0.4,0.5\nb,m2,0.2,0.3,0.4\n",
+         "loss components out of [0,1] for (a, m1)"),
+        ("a,m1,0.1,0.2,0.3\na,m2,0.2,0.3,0.4\nb,m1,0.3,0.4,0.5\na,m1,0.2,0.3,0.4\n",
+         "duplicate (dataset, method) pair: (a, m1)")], ids=["nan-l2", "duplicate-pair"])
+    def test_refused_table_error_starts_with_the_path(self, tmp_path, capsys, body, names):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("dataset,method,l1,l2,l3\n" + body)
+        assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and err["message"] == f"{bad}: {names}"
         assert not (tmp_path / "o").exists()
 
     def test_incomplete_grid_exits_3(self, tmp_path, capsys):

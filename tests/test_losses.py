@@ -361,3 +361,94 @@ class TestGeometricMean:
             v = rng.random(3)
             g = losses.geometric_mean(v)
             assert v.min() - 1e-12 <= g <= v.max() + 1e-12
+
+
+def _block_case(rng, k, n_tr, n_va, b, saturated=False):
+    """A label-major (b, K, n_tr + n_va) block of scores (0.1-grid ties and
+    threshold hits, continuous, or saturated at 0, 1 and the BCE clip edges)
+    and its truth, with rows that have no positive label in both splits."""
+    n = n_tr + n_va
+    if saturated:
+        eps = losses.BCE_EPS
+        scores = rng.choice([0.0, 1.0, eps, 1.0 - eps, 0.5], (b, k, n))
+    else:
+        scores = rng.integers(0, 11, (b, k, n)) / 10.0
+        scores[::2] = rng.random((len(scores[::2]), k, n))
+    truth = _grid_case(rng, n, k)[1]
+    truth[[0, n_tr]] = 1            # each split: a row of every label,
+    truth[[n_tr - 1, n - 1]] = 0    # and one of none where it has two rows
+    truth[[0, n_tr], 0] = 1
+    return scores, truth
+
+
+class TestBlockLosses:
+    """``block_losses`` on a label-major block against the per-candidate
+    losses of each candidate's N x K scores of each split, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 6, 14, 53])
+    @pytest.mark.parametrize("saturated", [False, True])
+    def test_bitwise_equal_to_per_candidate_losses(self, k, saturated):
+        rng = np.random.default_rng(4000 + k + 100 * saturated)
+        for n_tr, n_va, b in ((1, 1, 1), (7, 3, 2), (40, 13, 5), (332, 83, 7)):
+            scores, truth = _block_case(rng, k, n_tr, n_va, b, saturated)
+            n = n_tr + n_va
+            splits = (losses.Truth(truth[:n_tr], 0, n), losses.Truth(truth[n_tr:], n_tr, n))
+            got = losses.block_losses(scores, splits)
+            assert got.shape == (2, b, 4)
+            for (lo, hi), per_split in zip(((0, n_tr), (n_tr, n)), got):
+                for cand, row in zip(scores, per_split):
+                    mine = np.ascontiguousarray(cand.T[lo:hi])
+                    want = [*losses.loss_vector(mine, truth[lo:hi]), losses.bce(mine, truth[lo:hi])]
+                    assert row.tolist() == want
+
+    def test_ranks_beyond_255_labels(self):
+        # 300 labels on a 0 / 0.5 / 1 grid: ranks and true-above counts pass
+        # 255, the most that one byte holds
+        rng = np.random.default_rng(4300)
+        scores, truth = _block_case(rng, 300, 7, 3, 3, saturated=True)
+        splits = (losses.Truth(truth[:7], 0, 10), losses.Truth(truth[7:], 7, 10))
+        got = losses.block_losses(scores, splits)
+        for (lo, hi), per_split in zip(((0, 7), (7, 10)), got):
+            for cand, row in zip(scores, per_split):
+                mine = np.ascontiguousarray(cand.T[lo:hi])
+                assert row.tolist() == [*losses.loss_vector(mine, truth[lo:hi]),
+                                        losses.bce(mine, truth[lo:hi])]
+
+    def test_all_negative_split_rows_and_all_positive_labels(self):
+        # a split whose rows are all negative but one, and a block thresholded
+        # above every score: micro F1 then counts no hit
+        truth = np.zeros((6, 3), dtype=int)
+        truth[2, 1] = 1
+        scores = np.full((2, 3, 6), 0.25)
+        scores[1, 1, 2] = 0.75
+        got = losses.block_losses(scores, (losses.Truth(truth),))
+        for cand, row in zip(scores, got[0]):
+            assert row.tolist() == [*losses.loss_vector(cand.T, truth), losses.bce(cand.T, truth)]
+        assert got[0, 1, :3].tolist() == [0.0, 0.0, 0.0]
+
+    def test_split_without_a_positive_label_is_undefined(self):
+        truth = np.zeros((4, 3), dtype=int)
+        with pytest.raises(UndefinedMetricError, match="no sample has a positive label"):
+            losses.block_losses(np.full((2, 3, 4), 0.5), (losses.Truth(truth),))
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "scores contains non-finite entries"),
+        (np.inf, "scores contains non-finite entries"),
+        (1.5, r"scores entries must lie in \[0, 1\]"),
+        (-1e-300, r"scores entries must lie in \[0, 1\]")])
+    def test_refused_scores_name_the_rule(self, bad, message):
+        scores = np.full((3, 2, 5), 0.5)
+        scores[2, 1, 4] = bad
+        with pytest.raises(DimensionError, match=message):
+            losses.block_losses(scores, (losses.Truth(np.eye(5, 2, dtype=int)),))
+
+    def test_placement_must_fit_the_block(self):
+        truth = losses.Truth(np.eye(4, 2, dtype=int), 3, 7)
+        assert truth.block_cols.tolist() == [3, 4]
+        assert truth.block_pos.tolist() == [3, 7 + 4]
+        with pytest.raises(DimensionError):
+            losses.block_losses(np.full((1, 2, 6), 0.5), (truth,))
+        with pytest.raises(DimensionError):
+            losses.block_losses(np.full((1, 3, 7), 0.5), (truth,))
+        with pytest.raises(DimensionError):
+            losses.Truth(np.eye(4, 2, dtype=int), 4, 7)

@@ -92,8 +92,9 @@ class TestPackUnpack:
 
 
 def hidden(m):
-    """The hidden-layer kernel on a fresh float copy of ``m`` (it works in place)."""
-    return model._hidden(np.array(m, dtype=float))
+    """The hidden-layer kernel on the rows of ``m`` as samples: on a fresh
+    label-major float copy (it works in place), transposed back."""
+    return model._hidden(np.array(m, dtype=float).T.copy()).T
 
 
 def assert_close(got, want, rel=1e-12):
@@ -104,11 +105,13 @@ def assert_close(got, want, rel=1e-12):
 
 class TestRowStandardize:
     """The row z-score inside the hidden-layer kernel, seen through its
-    output 0.5 + 0.5 tanh(z / 2), the logistic of z."""
+    output, the logistic of z."""
 
     def test_constant_row_maps_to_zero(self):
-        # rows whose mean is exact in floating point give z = 0 exactly
-        for m in ([[3.0, 3.0, 3.0]], np.full((3, 7), 2.5), np.zeros((2, 5))):
+        # a row of equal entries gives z = 0 exactly, also where its mean
+        # does not round back to the entry (20 entries of 123.456, 3 of -7.0)
+        for m in ([[3.0, 3.0, 3.0]], np.full((3, 7), 2.5), np.zeros((2, 5)),
+                  np.full((1, 20), 123.456), np.full((1, 3), -7.0)):
             assert (hidden(m) == 0.5).all()
 
     def test_unit_spread_row_unchanged(self):
@@ -315,3 +318,55 @@ class TestForward:
         proc = subprocess.run([sys.executable, "-c", SCALING_TIMER], env=env,
                               capture_output=True, text=True, check=True)
         assert float(proc.stdout) < 4.0
+
+
+class TestForwardPopulation:
+    """The one forward kernel on blocks of candidates, as the trainer calls it."""
+
+    @pytest.mark.parametrize("d,c,k,n", [(72, 20, 6, 475), (103, 4, 14, 300), (3, 2, 2, 4),
+                                         (1, 1, 1, 5), (50, 10, 53, 60)])
+    @pytest.mark.parametrize("lam", [2, 13])
+    def test_blocks_within_tolerance_of_split_oracle(self, d, c, k, n, lam):
+        # every candidate of a population of 2 or 13 (prime, so the last block
+        # is partial), at several block sizes, against the per-candidate oracle
+        rng = np.random.default_rng(d * 100 + lam)
+        shape = model.ModelShape(d, c, k)
+        x = rng.standard_normal((n, d))
+        flats = rng.standard_normal((lam, shape.n_params)) * rng.choice([0.1, 1.0, 30.0])
+        features = model.Features(x, shape)
+        for block in sorted({1, 2, 3, 5, model.block_size(shape, n)}):
+            for first in range(0, lam, block):
+                scores = model.forward_population(flats[first:first + block], shape, features)
+                assert scores.shape == (min(block, lam - first), k, n)
+                for i, got in enumerate(scores):
+                    assert_close(got.T, split_forward(flats[first + i], d, c, k, x))
+
+    def test_forward_is_the_one_candidate_call(self):
+        rng = np.random.default_rng(31)
+        shape = model.ModelShape(d=9, c=5, k=3)
+        x = rng.standard_normal((40, 9))
+        params = model.ModelParams(rng.standard_normal(shape.n_params), shape)
+        got = model.forward(params, x)
+        assert got.shape == (40, 3)
+        assert_bitwise(np.ascontiguousarray(got),
+                       model.forward_population(params.flat[None], shape, x)[0].T.copy())
+
+    def test_block_size_from_the_shapes(self):
+        # at most 2^16 entries per (candidates, max(C, K), rows) layer array;
+        # stacked training and validation rows of emotions, yeast and an
+        # enron-like shape, then the copy task
+        assert model.block_size(model.ModelShape(d=72, c=20, k=6), 415) == 7
+        assert model.block_size(model.ModelShape(d=103, c=4, k=14), 1691) == 2
+        assert model.block_size(model.ModelShape(d=1001, c=20, k=53), 1191) == 1
+        assert model.block_size(model.ModelShape(d=4, c=3, k=2), 45) == 485
+
+    def test_input_checked(self):
+        shape = model.ModelShape(d=3, c=2, k=1)
+        flats = np.zeros((2, shape.n_params))
+        with pytest.raises(DimensionError):
+            model.forward_population(flats, shape, np.zeros((2, 4)))
+        with pytest.raises(NumericError):
+            model.forward_population(flats, shape, np.array([[1.0, np.nan, 0.0]]))
+        with pytest.raises(DimensionError):
+            model.forward_population(flats, shape,
+                                     model.Features(np.zeros((2, 4)), model.ModelShape(4, 2, 1)))

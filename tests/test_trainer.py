@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hvml import cmaes, data, model, pareto, synth, trainer
-from hvml.errors import ConfigError, DimensionError, NumericError, ParseError
+from hvml.errors import (ConfigError, DimensionError, NumericError, ParseError,
+                         UndefinedMetricError)
 from hvml.losses import LossVector
 from hvml.trainer import CURVES_HEADER, CandidateRecord, TrainConfig, emit_curves, evaluate, train
 
@@ -135,25 +136,47 @@ class TestTrainLoop:
                 expected = leave_one_out_contribution(train_vecs, i)
                 assert r.fitness == pytest.approx(expected, abs=1e-12)
 
-    def test_one_forward_pass_per_candidate(self, toy_dataset, monkeypatch):
+    @pytest.mark.parametrize("lambda_pop,block", [(8, None), (8, 3), (2, 3), (13, 3)])
+    def test_each_epoch_scores_the_population_once(self, toy_dataset, monkeypatch, lambda_pop,
+                                                   block):
         # train and validation rows are scored together, as one Features
-        # checked once; the one other pass is the initial validation score,
-        # on a plain matrix (train does not score the test split)
-        calls = []
-        real = model.forward
-
-        def counting(p, x):
-            calls.append(x.matrix.shape[0] if isinstance(x, model.Features) else len(x))
-            return real(p, x)
-
-        monkeypatch.setattr(model, "forward", counting)
-        cfg = tiny_config(epochs=3)
-        res = train(toy_dataset, cfg)
+        # checked once, in blocks that cover the epoch's candidates once and
+        # in order, the last one partial where the block size does not divide
+        # the population; the one other pass is the initial validation score
+        # of the search mean, on a plain matrix (train does not score the
+        # test split)
         n_tr = len(toy_dataset.split.train)
         n_va = len(toy_dataset.split.validation)
-        in_loop = [n for n in calls if n == n_tr + n_va]
-        assert len(in_loop) == cfg.epochs * cfg.lambda_pop
-        assert len(calls) == len(in_loop) + 1
+        cfg = tiny_config(epochs=3, lambda_pop=lambda_pop, mu=1)
+        shape = model.ModelShape(toy_dataset.d, cfg.embedding, toy_dataset.k)
+        if block is not None:   # a block size of 3 at this shape
+            monkeypatch.setattr(model, "_BLOCK", block * max(shape.c, shape.k) * (n_tr + n_va))
+        block = model.block_size(shape, n_tr + n_va)
+        calls = []
+        real = model.forward_population
+
+        def counting(flats, shape, x):
+            stacked = isinstance(x, model.Features)
+            calls.append((x.matrix.shape[0] if stacked else len(x), flats.copy()))
+            return real(flats, shape, x)
+
+        populations = []
+        real_sample = cmaes.sample_population
+
+        def sampling(*args):
+            populations.append(real_sample(*args))
+            return populations[-1]
+
+        monkeypatch.setattr(model, "forward_population", counting)
+        monkeypatch.setattr(cmaes, "sample_population", sampling)
+        train(toy_dataset, cfg)
+        (rows0, first), *in_loop = calls
+        assert rows0 == n_va and first.shape[0] == 1
+        assert all(rows == n_tr + n_va for rows, _ in in_loop)
+        assert all(flats.shape[0] <= block for _, flats in in_loop)
+        scored = np.concatenate([flats for _, flats in in_loop])
+        assert np.array_equal(scored, np.concatenate(populations))
+        assert len(in_loop) == cfg.epochs * -(-lambda_pop // block)
 
     def test_stacked_scores_match_per_split_evaluation(self, toy_dataset):
         res = train(toy_dataset, tiny_config(epochs=3))
@@ -187,6 +210,15 @@ class TestTrainLoop:
             del kept[contribs[0][1]]
         pruned = trainer._prune_archive(front, 18)
         assert pruned.tags == tuple(f"p{i}" for i in kept)
+
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_split_without_a_positive_label_is_undefined(self, toy_dataset, split):
+        # LRAP has no value on such a split: the validation split is scored
+        # first by the initial state, the training split by epoch 1's blocks
+        y = toy_dataset.y.copy()
+        y[getattr(toy_dataset.split, split)] = 0
+        with pytest.raises(UndefinedMetricError, match="no sample has a positive label"):
+            train(replace(toy_dataset, y=y), tiny_config())
 
     def test_empty_split_is_config_error(self):
         ds = synth.copy_task(seed=3)
