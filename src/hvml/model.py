@@ -84,10 +84,6 @@ class ModelParams:
             raise NumericError("parameter vector contains non-finite entries")
         object.__setattr__(self, "flat", flat)
 
-    @classmethod
-    def zeros(cls, shape: ModelShape) -> "ModelParams":
-        return cls(np.zeros(shape.n_params), shape)
-
 
 def _layers(flats: np.ndarray, shape: ModelShape):
     """Split a (..., L) array of flat vectors into (E, b_e, W, b_w, Dec, b_dec)
@@ -104,12 +100,6 @@ def _layers(flats: np.ndarray, shape: ModelShape):
         flats[..., o4:o5].reshape(*lead, c, k),
         flats[..., o5:],
     )
-
-
-def unpack(params: ModelParams):
-    """Split the flat vector into (E, b_e, W, b_w, Dec, b_dec) views, the blocks
-    laid out in that order, each row-major."""
-    return _layers(params.flat, params.shape)
 
 
 def _hidden(a: np.ndarray) -> np.ndarray:

@@ -113,6 +113,19 @@ def gather_lrap(scores, truth):
     return float(np.sum(weights * (true_above / rank)))
 
 
+def gather_bce(scores, truth, eps=1e-7):
+    """BCE by the package's former gather: the clipped scores of the positive
+    and of the negative entries, each taken by flat (row * K + label) index
+    in row-major order, one logarithm per entry (log(p) at a positive,
+    log1p(-p) at a negative), the two sums added and divided by the number
+    of samples."""
+    s = np.asarray(scores, dtype=float)
+    t = np.asarray(truth) == 1
+    p = np.clip(s, eps, 1.0 - eps)
+    pos, neg = p.take(np.flatnonzero(t)), p.take(np.flatnonzero(~t))
+    return -float(np.log(pos).sum() + np.log1p(-neg).sum()) / s.shape[0]
+
+
 def brute_hamming(pred, truth):
     pred = np.asarray(pred)
     truth = np.asarray(truth)

@@ -70,12 +70,12 @@ class TestPackUnpack:
         for d, c, k in [(2, 1, 1), (5, 3, 4), (7, 2, 2)]:
             shape = model.ModelShape(d, c, k)
             flat = rng.standard_normal(shape.n_params)
-            blocks = model.unpack(model.ModelParams(flat, shape))
+            blocks = model._layers(flat, shape)
             assert np.array_equal(np.concatenate([b.ravel() for b in blocks]), flat)
 
     def test_block_shapes(self):
         shape = model.ModelShape(d=4, c=3, k=2)
-        e, b_e, w, b_w, dec, b_dec = model.unpack(model.ModelParams.zeros(shape))
+        e, b_e, w, b_w, dec, b_dec = model._layers(np.zeros(shape.n_params), shape)
         assert e.shape == (4, 3) and b_e.shape == (3,)
         assert w.shape == (3, 3) and b_w.shape == (3,)
         assert dec.shape == (3, 2) and b_dec.shape == (2,)
@@ -221,7 +221,8 @@ def mp_forward(flat, shape, row_x):
 class TestForward:
     def test_zero_params_score_half(self):
         shape = model.ModelShape(d=3, c=4, k=2)
-        out = model.forward(model.ModelParams.zeros(shape), np.random.default_rng(0).random((5, 3)))
+        params = model.ModelParams(np.zeros(shape.n_params), shape)
+        out = model.forward(params, np.random.default_rng(0).random((5, 3)))
         assert out == pytest.approx(np.full((5, 2), 0.5))
 
     def test_duplicated_row_gives_identical_outputs(self):
@@ -271,7 +272,7 @@ class TestForward:
 
     def test_input_validation(self):
         shape = model.ModelShape(d=3, c=2, k=1)
-        params = model.ModelParams.zeros(shape)
+        params = model.ModelParams(np.zeros(shape.n_params), shape)
         with pytest.raises(DimensionError):
             model.forward(params, np.zeros((2, 4)))
         with pytest.raises(NumericError):
@@ -304,8 +305,9 @@ class TestForward:
 
     def test_features_of_another_width_refused(self):
         features = model.Features(np.zeros((2, 4)), model.ModelShape(d=4, c=2, k=1))
+        shape = model.ModelShape(d=3, c=2, k=1)
         with pytest.raises(DimensionError):
-            model.forward(model.ModelParams.zeros(model.ModelShape(d=3, c=2, k=1)), features)
+            model.forward(model.ModelParams(np.zeros(shape.n_params), shape), features)
 
     def test_cost_scales_roughly_linearly_in_samples(self):
         # coarse sanity check, not a precise benchmark. The two sizes are timed

@@ -31,7 +31,8 @@ def tiny_config(**overrides):
 class TestEvaluate:
     def test_neutral_model_scores_half(self, toy_dataset):
         shape = model.ModelShape(toy_dataset.d, 3, toy_dataset.k)
-        lv, bce = evaluate(model.ModelParams.zeros(shape), toy_dataset, "validation")
+        params = model.ModelParams(np.zeros(shape.n_params), shape)
+        lv, bce = evaluate(params, toy_dataset, "validation")
         _, y = toy_dataset.rows("validation")
         assert lv.l1 == pytest.approx(np.mean(y == 0))
         assert bce > 0
@@ -45,7 +46,7 @@ class TestEvaluate:
         ds = synth.copy_task(seed=1)
         shape = model.ModelShape(ds.d, 2, ds.k)
         with pytest.raises(ConfigError):
-            evaluate(model.ModelParams.zeros(shape), ds, "train")
+            evaluate(model.ModelParams(np.zeros(shape.n_params), shape), ds, "train")
 
 
 class TestTrainLoop:
