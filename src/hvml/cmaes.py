@@ -3,8 +3,13 @@
 A deliberately small CMA-ES: Gaussian sampling around a mean with step size
 sigma and covariance C, weighted recombination of the top-mu samples for the
 mean, and a rank-one update C' = (1 - c) C + c v v^T with v = sum_i w_i y_i.
-No evolution paths, no rank-mu term, no step-size adaptation; the covariance
-contraction itself provides scale adaptation on convex problems.
+No evolution paths, no rank-mu term, no step-size adaptation. Scale adapts
+only through the covariance contraction, and only where c is large: on the
+5-dimensional sphere (c = 0.08) and on the copy task (``c_cov=0.1``, set
+explicitly). At the default c = 2/L^2 it does not: at L = 2006, after 750
+updates, the rank-one part's largest eigenvalue stays below 3.3e-4 against
+a = 0.9996, so samples stay within 0.02% of N(m, sigma^2 I) in standard
+deviation in any direction and sigma stays near its initial 0.3.
 
 C is never stored as a matrix. Starting from C_0 = I, t updates give exactly
 
@@ -114,7 +119,12 @@ def sample_population(state: CmaState, seed) -> np.ndarray:
         return np.tile(state.mean, (state.lambda_pop, 1))
     a, w = covariance_weights(state)
     n = rng.standard_normal((state.lambda_pop, w.size))
-    return state.mean + state.sigma * (math.sqrt(a) * z + (n * np.sqrt(w)) @ state.cov_steps)
+    # m + sigma (sqrt(a) z + (n sqrt(w)) V), built in z's block in that order
+    z *= math.sqrt(a)
+    z += (n * np.sqrt(w)) @ state.cov_steps
+    z *= state.sigma
+    z += state.mean
+    return z
 
 
 def ranked_steps(state: CmaState, top_params: np.ndarray) -> np.ndarray:

@@ -9,20 +9,24 @@ The network maps an N x D feature matrix to N x K label scores in (0, 1):
 ``hidden`` is the logistic 1 / (1 + e^-z) of the z-score z of each
 sample's embedding (population standard deviation, guarded divisor), taken
 within the sample, never across the batch, so each output row depends only
-on its own input row, to rounding (within 1e-12 relative);
-|z| <= sqrt(C - 1) keeps e^-z finite for any C below 500,000. The decoder's
-input has no such bound, so its logistic never takes e^x of a positive x.
-Scores agree with the former hidden layers (the exact logistic of the
-z-score, then 0.5 + 0.5 tanh(z / 2)) within 1e-12 relative, except where a
-sample's spread is tiny against its mean: there the former centring lost
-digits that a shift by the sample's first entry, made before centring,
-keeps, and a sample of equal entries maps to exactly 0.5 whatever their
-value. All learnable parameters live in one flat vector so a
-derivative-free optimizer can treat the model as a point in R^L, with
-L = D*C + C + C*C + C + C*K + K.
+on its own input row, to rounding (within 1e-12 relative). The embeddings
+are centred in parameter space, not per sample: each row of the stacked
+encoder [E; b_e] and of the stacked feedforward [W; b_w] is shifted by its
+first entry and then has its mean over its C outputs subtracted, which
+leaves every sample's C pre-activations centred (to rounding) while costing
+O(L) per candidate instead of a pass over its (C x N) embeddings. So the
+kernel only divides by the root mean square: |z| <= sqrt(C) keeps e^-z
+finite for any C below 500,000. The decoder's input has no such bound, so
+its logistic never takes e^x of a positive x. Scores agree with the
+data-space centring of the z-score within 1e-12 relative, and an encoder
+whose C columns and biases are all equal has all-zero centred weights, so it
+maps every sample to exactly 0.5 whatever its values. All learnable
+parameters live in one flat vector so a derivative-free optimizer can treat
+the model as a point in R^L, with L = D*C + C + C*C + C + C*K + K.
 
 There is one forward kernel, ``forward_population``: it scores a block of B
-parameter vectors at once, with one encoder product ``[E_1|...|E_B]^T X^T``,
+parameter vectors at once, with one encoder product of the B centred
+``[E; b_e]^T`` stacked with ``[X | 1]^T`` (so the bias rides in the product),
 and works label-major, on (B, C, N) and (B, K, N) arrays, so that every
 layer after the encoder is one batched product and one elementwise pass
 over the block. ``forward`` is its one-candidate call. The trainer scores a
@@ -86,34 +90,45 @@ class ModelParams:
 
 
 def _layers(flats: np.ndarray, shape: ModelShape):
-    """Split a (..., L) array of flat vectors into (E, b_e, W, b_w, Dec, b_dec)
-    views of shapes (..., D, C), (..., C), (..., C, C), (..., C), (..., C, K)
-    and (..., K), the blocks laid out in that order, each row-major."""
+    """Split a (..., L) array of flat vectors into the views ([E; b_e],
+    [W; b_w], Dec, b_dec) of shapes (..., D + 1, C), (..., C + 1, C),
+    (..., C, K) and (..., K): the blocks E, b_e, W, b_w, Dec and b_dec are
+    laid out in that order, each row-major, so each bias is the last row of
+    its stacked block."""
     d, c, k = shape.d, shape.c, shape.k
     lead = flats.shape[:-1]
-    o1, o2, o3, o4, o5 = np.cumsum([d * c, c, c * c, c, c * k])
+    o1, o2, o3 = (d + 1) * c, (d + 2 + c) * c, (d + 2 + c + k) * c
     return (
-        flats[..., :o1].reshape(*lead, d, c),
-        flats[..., o1:o2],
-        flats[..., o2:o3].reshape(*lead, c, c),
-        flats[..., o3:o4],
-        flats[..., o4:o5].reshape(*lead, c, k),
-        flats[..., o5:],
+        flats[..., :o1].reshape(*lead, d + 1, c),
+        flats[..., o1:o2].reshape(*lead, c + 1, c),
+        flats[..., o2:o3].reshape(*lead, c, k),
+        flats[..., o3:],
     )
 
 
+def _centred(stacked: np.ndarray) -> np.ndarray:
+    """The (B, C, R) transpose of a (B, R, C) block of stacked weights with
+    each of its R rows centred across its C outputs: shifted by its first
+    entry, so that a row of equal entries is exactly zero, then its mean
+    subtracted. A layer product with these weights gives embeddings already
+    centred within each sample."""
+    c = stacked.shape[-1]
+    out = np.empty(stacked.shape[:1] + (c, stacked.shape[1]))
+    np.subtract(stacked.transpose(0, 2, 1), stacked[:, None, :, 0], out=out)
+    out -= np.add.reduce(out, axis=1, keepdims=True) / c
+    return out
+
+
 def _hidden(a: np.ndarray) -> np.ndarray:
-    """The hidden-layer activation of a label-major (..., C, N) array, in
-    place; returns ``a``. Each sample (a column of C entries) is shifted by
-    its first entry, so that a sample of equal entries is all zeros and maps
-    to exactly 0.5, then centred and divided by its population standard
-    deviation (at least ``ROW_STD_EPS``), and its z-score z is mapped to the
-    logistic 1 / (1 + e^-z). The sums run across the C axis, one row of N
-    samples at a time; the sum of squares is one einsum, with no squared
+    """The hidden-layer activation of a label-major (..., C, N) array of
+    samples already centred across C (``_centred`` weights), in place;
+    returns ``a``. Each sample (a column of C entries) is divided by its
+    root mean square (at least ``ROW_STD_EPS``), the population standard
+    deviation of a centred sample, and its z-score z is mapped to the
+    logistic 1 / (1 + e^-z); an all-zero sample maps to exactly 0.5. The
+    sum of squares runs across the C axis as one einsum, with no squared
     copy of ``a``."""
     c = a.shape[-2]
-    a -= a[..., :1, :].copy()
-    a -= np.add.reduce(a, axis=-2, keepdims=True) / c
     scale = np.sqrt(np.einsum("...cn,...cn->...n", a, a) / c)
     np.maximum(scale, ROW_STD_EPS, out=scale)
     a *= (-1.0 / scale)[..., None, :]
@@ -140,9 +155,12 @@ class Features:
     """A feature matrix checked once for a model shape: 2-D, ``shape.d``
     columns, finite. The forward kernel accepts one wherever it accepts a
     plain matrix and then only compares its column count with the model's,
-    so the trainer pays the checks once per run instead of once per block."""
+    so the trainer pays the checks once per run instead of once per block.
+    It holds one N x (D + 1) array ``augmented``, the features with a
+    column of ones after them, for the encoder bias to ride in the encoder
+    product; ``matrix`` is the view of its first D columns."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("augmented", "matrix")
 
     def __init__(self, x, shape: ModelShape):
         xm = np.asarray(x, dtype=float)
@@ -152,7 +170,9 @@ class Features:
             raise DimensionError(f"input has {xm.shape[1]} columns, model expects {shape.d}")
         if not np.isfinite(xm).all():
             raise NumericError("input matrix contains non-finite entries")
-        self.matrix = xm
+        self.augmented = np.ones((xm.shape[0], shape.d + 1))
+        self.matrix = self.augmented[:, :shape.d]
+        self.matrix[...] = xm
 
 
 def block_size(shape: ModelShape, rows: int) -> int:
@@ -165,23 +185,22 @@ def forward_population(flats: np.ndarray, shape: ModelShape, x) -> np.ndarray:
     """Score an N x D feature matrix (plain or ``Features``) under each row of
     a (B, L) array of finite parameter vectors (not checked here: the trainer
     checks a population once); returns the label-major (B, K, N) array of
-    scores in (0, 1). The encoder is one product of the B transposed
-    encoders stacked with the transposed features (a view: no copy of X),
-    which gives the (B, C, N) embeddings in place; the feedforward and
-    decoder layers are batched products of each candidate's transposed
-    matrix with its (C, N) embeddings."""
+    scores in (0, 1). The encoder is one product of the B centred, transposed
+    ``[E; b_e]`` blocks stacked with the transposed ``[X | 1]`` (a view: no
+    copy of it), which gives the (B, C, N) centred embeddings with their
+    bias; the feedforward and decoder layers are batched products of each
+    candidate's transposed matrix with its (C, N) embeddings."""
     if not isinstance(x, Features):
         x = Features(x, shape)
     elif x.matrix.shape[1] != shape.d:   # checked for another shape
         raise DimensionError(f"input has {x.matrix.shape[1]} columns, model expects {shape.d}")
-    xm = x.matrix
-    b, n, c = flats.shape[0], xm.shape[0], shape.c
-    e, b_e, w, b_w, dec, b_dec = _layers(flats, shape)
-    encoders = e.transpose(0, 2, 1).reshape(b * c, shape.d)    # [E_1|...|E_B]^T
-    h = (encoders @ xm.T).reshape(b, c, n)
-    h += b_e[..., None]
-    h = np.matmul(w.transpose(0, 2, 1), _hidden(h))
-    h += b_w[..., None]
+    xa = x.augmented
+    b, n, c, d = flats.shape[0], xa.shape[0], shape.c, shape.d
+    encoder, feedforward, dec, b_dec = _layers(flats, shape)
+    h = (_centred(encoder).reshape(b * c, d + 1) @ xa.T).reshape(b, c, n)
+    ff = _centred(feedforward)                  # (B, C, C + 1): centred [W^T | b_w]
+    h = np.matmul(ff[..., :c], _hidden(h))
+    h += ff[..., c:]
     y = np.matmul(dec.transpose(0, 2, 1), _hidden(h))
     y += b_dec[..., None]
     return _sigmoid(y)

@@ -105,21 +105,27 @@ def _points_tags(front) -> tuple[np.ndarray, list[str]]:
 
 def update_reference_set(front: Front, new_points) -> Front:
     """Mutually non-dominated subset of the union of a front and new points,
-    in order: a new point weakly dominated by a kept one (its duplicate
-    included) is dropped, and an accepted one drops the points it dominates."""
+    as if the new points were merged one at a time, in order: a new point
+    weakly dominated by a kept one (its duplicate included) is dropped, an
+    accepted one drops the points it dominates and goes last.
+
+    Every point seen so far is weakly dominated by a kept one, so that merge
+    accepts a new point exactly when no front point and no earlier new point
+    weakly dominates it; an accepted point stays exactly when no later new
+    point dominates it; and a front point stays exactly when no accepted
+    point weakly dominates it. All three are decided at once, comparing each
+    new point with the front and with the other new points, never front
+    points with one another."""
     pts, tags = _points_tags(front)
     new_pts, new_tags = _points_tags(new_points)
-    for p, t in zip(new_pts, new_tags):
-        if (pts <= p).all(axis=1).any():
-            continue  # dominated by (or duplicate of) a kept point
-        # no kept point equals p now, so p <= q means p dominates q
-        drop = (p <= pts).all(axis=1)
-        if drop.any():
-            pts = pts[~drop]
-            tags = [qt for qt, d in zip(tags, drop.tolist()) if not d]
-        pts = np.concatenate([pts, p[None]])
-        tags.append(t)
-    return Front(pts, tuple(tags))
+    # [j, i]: new point j <= new point i; strictly, when not also i <= j
+    le = _below(new_pts.T, new_pts.T)
+    later = np.tri(len(new_tags), k=-1, dtype=bool)       # [j, i]: j > i
+    accepted = ~(_below(pts.T, new_pts.T).any(axis=0) | (le & later.T).any(axis=0))
+    stays = accepted & ~(le & ~le.T & later).any(axis=0)
+    kept = ~_below(new_pts[accepted].T, pts.T).any(axis=0)
+    return Front(np.concatenate([pts[kept], new_pts[stays]]),
+                 tuple(t for t, k in zip(tags + new_tags, kept.tolist() + stays.tolist()) if k))
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,23 @@ def dense_sample_population(state, seed):
     return state.mean + state.sigma * (z @ np.linalg.cholesky(dense_covariance(state)).T)
 
 
+def expression_sample_population(state, seed):
+    """The population sampler as one expression on fresh arrays (the
+    package's former form), m + sigma (sqrt(a) z + (n sqrt(w)) V), with
+    a = (1 - c)^t, w_j = c (1 - c)^(t-1-j) and V the update vectors, oldest
+    first; z and n are the seed's first (lambda, L) and (lambda, t)
+    standard-normal blocks, in that order."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((state.lambda_pop, state.n_dims))
+    if state.sigma == 0.0:
+        return np.tile(state.mean, (state.lambda_pop, 1))
+    keep = max(0.0, 1.0 - state.c_cov)
+    t = state.cov_steps.shape[0]
+    a, w = keep**t, state.c_cov * keep ** np.arange(t - 1, -1, -1, dtype=float)
+    n = rng.standard_normal((state.lambda_pop, t))
+    return state.mean + state.sigma * (np.sqrt(a) * z + (n * np.sqrt(w)) @ state.cov_steps)
+
+
 def loop_iterative_stratify(y, proportions, rng):
     """Iterative stratification by a scan of every sample per label round
     (the package's former implementation): rarest remaining label first,

@@ -6,7 +6,7 @@ import pytest
 from hvml.cmaes import (CmaState, covariance_weights, default_weights, evolve,
                         ranked_steps, sample_population, update_covariance)
 
-from oracles import dense_covariance
+from oracles import dense_covariance, expression_sample_population
 from sphere import minimize_sphere
 
 
@@ -67,6 +67,20 @@ class TestSampling:
         pop = sample_population(state, 17)
         assert np.abs(np.cov(pop.T) - cov).max() < 0.05 * np.abs(cov).max()
         assert np.abs(pop.mean(axis=0)).max() < 0.03
+
+    def test_bitwise_equal_to_expression_form(self):
+        # the in-place sampler against the former one-expression form, at
+        # t = 0 (no update vectors), after updates and at sigma = 0
+        rng = np.random.default_rng(8)
+        state = CmaState.initial(37, mean=rng.standard_normal(37), sigma=0.3, lambda_pop=11,
+                                 mu=5, c_cov=0.05)
+        stepped = replace(state, cov_steps=rng.standard_normal((6, 37)))
+        for s in (state, stepped, replace(stepped, sigma=0.0)):
+            for seed in (0, 41):
+                got = sample_population(s, seed)
+                want = expression_sample_population(s, seed)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_sampling_survives_rank_deficient_covariance(self):
         # c_cov = 1 leaves C = v v^T: all spread lies along v

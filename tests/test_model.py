@@ -75,10 +75,13 @@ class TestPackUnpack:
 
     def test_block_shapes(self):
         shape = model.ModelShape(d=4, c=3, k=2)
-        e, b_e, w, b_w, dec, b_dec = model._layers(np.zeros(shape.n_params), shape)
-        assert e.shape == (4, 3) and b_e.shape == (3,)
-        assert w.shape == (3, 3) and b_w.shape == (3,)
+        flat = np.arange(float(shape.n_params))
+        encoder, feedforward, dec, b_dec = model._layers(flat, shape)
+        assert encoder.shape == (5, 3) and feedforward.shape == (4, 3)
         assert dec.shape == (3, 2) and b_dec.shape == (2,)
+        # each bias is the last row of its stacked block: b_e after E, b_w after W
+        assert np.array_equal(encoder[-1], flat[12:15])
+        assert np.array_equal(feedforward[-1], flat[24:27])
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -92,9 +95,14 @@ class TestPackUnpack:
 
 
 def hidden(m):
-    """The hidden-layer kernel on the rows of ``m`` as samples: on a fresh
-    label-major float copy (it works in place), transposed back."""
-    return model._hidden(np.array(m, dtype=float).T.copy()).T
+    """The hidden layer on the rows of ``m`` as samples: each row shifted by
+    its first entry and centred in data space, as the forward pass's
+    centred weights leave a sample, then the kernel on the label-major
+    result (it works in place), transposed back."""
+    a = np.array(m, dtype=float).T.copy()
+    a -= a[:1].copy()
+    a -= np.add.reduce(a, axis=0, keepdims=True) / a.shape[0]
+    return model._hidden(a).T
 
 
 def assert_close(got, want, rel=1e-12):
@@ -104,8 +112,8 @@ def assert_close(got, want, rel=1e-12):
 
 
 class TestRowStandardize:
-    """The row z-score inside the hidden-layer kernel, seen through its
-    output, the logistic of z."""
+    """The row z-score of the hidden layer (data-space centring, then the
+    kernel), seen through its output, the logistic of z."""
 
     def test_constant_row_maps_to_zero(self):
         # a row of equal entries gives z = 0 exactly, also where its mean
@@ -231,6 +239,38 @@ class TestForward:
         row = np.random.default_rng(4).random(4)
         out = model.forward(params, np.vstack([row, row]))
         assert np.array_equal(out[0], out[1])
+
+    def test_equal_encoder_columns_map_every_sample_to_half(self):
+        # equal columns and biases centre to exactly zero, so every sample's
+        # embedding is 0.5 exactly: the scores are those of a zero encoder,
+        # bit for bit, whatever the inputs
+        shape = model.ModelShape(d=5, c=20, k=3)
+        rng = np.random.default_rng(9)
+        flat = rng.standard_normal(shape.n_params)
+        zero = flat.copy()
+        zero[:6 * 20] = 0.0
+        flat[:6 * 20] = np.repeat(rng.uniform(-200, 200, 6), 20)
+        x = rng.standard_normal((30, 5)) * 10.0 ** rng.uniform(-6, 6, (30, 1))
+        got = model.forward(model.ModelParams(flat, shape), x)
+        assert_bitwise(got, model.forward(model.ModelParams(zero, shape), x))
+        assert (got == got[0]).all()
+
+    @pytest.mark.parametrize("d,c,k", [(72, 20, 6), (103, 4, 14), (3, 2, 2)])
+    def test_constant_added_to_a_weight_row_changes_nothing(self, d, c, k):
+        # a row of [E; b_e] or [W; b_w] moved by one constant across its C
+        # outputs moves every sample's pre-activations by one constant, which
+        # the centring removes
+        shape = model.ModelShape(d, c, k)
+        rng = np.random.default_rng(d + c)
+        flat = rng.standard_normal(shape.n_params)
+        x = rng.standard_normal((40, d))
+        want = model.forward(model.ModelParams(flat, shape), x)
+        rows = (d + 1) + (c + 1)       # [E; b_e] then [W; b_w], C entries each
+        for row in (0, d - 1, d, d + 1, rows - 1):
+            for shift in (-3.0, 0.25, 40.0):
+                moved = flat.copy()
+                moved[row * c:(row + 1) * c] += shift
+                assert_close(model.forward(model.ModelParams(moved, shape), x), want)
 
     def test_golden_outputs(self):
         params = model.ModelParams(np.array(GOLD_PARAMS), GOLD_SHAPE)
