@@ -11,8 +11,8 @@ and Friedman / critical-difference reporting.
 from importlib import resources
 
 from .losses import LossVector, loss_vector, geometric_mean
-from .pareto import Front, dominates, exact_contribution, exact_contributions, \
-    exact_hypervolume, hv_decomposition, mc_contribution, update_reference_set
+from .pareto import Front, exact_contribution, exact_contributions, exact_hypervolume, \
+    hv_decomposition, mc_contribution, update_reference_set
 from .model import ModelParams, ModelShape, forward
 from .cmaes import CmaState, sample_population
 from .data import Dataset, SplitIndices, compute_stats, load_arff, load_csv, load_manifest, \

@@ -66,7 +66,8 @@ def _resolve(args, types: dict, base: dict | None = None) -> dict:
     if args.config is not None:
         path = _expand_path(args.config)
         try:
-            file_cfg = json.loads(path.read_text())
+            with data.open_text(path) as fh:
+                file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file is not valid JSON: {exc}", path) from None
         trainer.check_json(file_cfg, path, {**types, "command": str})
@@ -178,7 +179,7 @@ def cmd_hv(args) -> int:
     path = _expand_path(args.front)
     vecs = []
     tag_lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with data.open_text(path, newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
             if not cells or all(not c.strip() for c in cells):
                 continue

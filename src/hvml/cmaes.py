@@ -90,12 +90,12 @@ class CmaState:
         return self.mean.size
 
     @classmethod
-    def initial(cls, n_dims: int, mean=None, sigma: float = 0.3, lambda_pop=None,
-                mu=None, c_cov=None) -> "CmaState":
+    def initial(cls, n_dims: int, sigma: float = 0.3, lambda_pop=None, mu=None,
+                c_cov=None) -> "CmaState":
         lam = int(lambda_pop) if lambda_pop is not None else default_lambda(n_dims)
         m = int(mu) if mu is not None else max(1, lam // 2)
         return cls(
-            mean=np.zeros(n_dims) if mean is None else np.asarray(mean, dtype=float),
+            mean=np.zeros(n_dims),
             cov_steps=np.empty((0, n_dims)),
             sigma=float(sigma),
             lambda_pop=lam,
@@ -104,21 +104,15 @@ class CmaState:
         )
 
 
-def covariance_weights(state: CmaState) -> tuple[float, np.ndarray]:
-    """(a, w) with C = a I + sum_j w_j v_j v_j^T over the rows v_j of cov_steps."""
-    keep = max(0.0, 1.0 - state.c_cov)
-    t = state.cov_steps.shape[0]
-    return keep**t, state.c_cov * keep ** np.arange(t - 1, -1, -1, dtype=float)
-
-
 def sample_population(state: CmaState, seed) -> np.ndarray:
     """Draw lambda parameter vectors m + sigma * N(0, C); fixed seed, fixed result."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((state.lambda_pop, state.n_dims))
     if state.sigma == 0.0:
         return np.tile(state.mean, (state.lambda_pop, 1))
-    a, w = covariance_weights(state)
-    n = rng.standard_normal((state.lambda_pop, w.size))
+    keep, t = max(0.0, 1.0 - state.c_cov), state.cov_steps.shape[0]
+    a, w = keep**t, state.c_cov * keep ** np.arange(t - 1, -1, -1, dtype=float)
+    n = rng.standard_normal((state.lambda_pop, t))
     # m + sigma (sqrt(a) z + (n sqrt(w)) V), built in z's block in that order
     z *= math.sqrt(a)
     z += (n * np.sqrt(w)) @ state.cov_steps
@@ -127,30 +121,16 @@ def sample_population(state: CmaState, seed) -> np.ndarray:
     return z
 
 
-def ranked_steps(state: CmaState, top_params: np.ndarray) -> np.ndarray:
-    """Steps y_i = (theta_i - m) / sigma of the top-mu parameter vectors
-    (already sorted best-first); zero steps when sigma == 0, where every
-    sample equals the mean."""
-    top = np.atleast_2d(np.asarray(top_params, dtype=float))
+def evolve(state: CmaState, ranked_params: np.ndarray) -> CmaState:
+    """One full distribution update from the top-mu parameter vectors (sorted
+    best-first; fewer than mu is a ValueError): the weighted step v = sum_i
+    w_i y_i of their steps y_i = (theta_i - m) / sigma (zero when sigma == 0),
+    with w = default_weights(mu), moves the mean, m' = m + sigma * v, and is
+    appended to cov_steps, so C' = (1 - c_cov) C + c_cov v v^T."""
+    top = np.atleast_2d(np.asarray(ranked_params, dtype=float))[: state.mu]
     if top.shape[0] < state.mu:
         raise ValueError(f"need at least mu={state.mu} ranked candidates, got {top.shape[0]}")
-    top = top[: state.mu]
-    if state.sigma == 0.0:
-        return np.zeros_like(top)
-    return (top - state.mean) / state.sigma
-
-
-def update_covariance(state: CmaState, v: np.ndarray) -> np.ndarray:
-    """C' = (1 - c_cov) C + c_cov v v^T for the weighted step v, as the new
-    cov_steps: the old ones with v appended."""
-    return np.vstack([state.cov_steps, v])
-
-
-def evolve(state: CmaState, ranked_params: np.ndarray) -> CmaState:
-    """One full distribution update from the top-mu parameter vectors: the
-    weighted step v = sum_i w_i y_i, with w = default_weights(mu), moves the
-    mean, m' = m + sigma * v, and joins the covariance."""
-    v = default_weights(state.mu) @ ranked_steps(state, ranked_params)
+    steps = np.zeros_like(top) if state.sigma == 0.0 else (top - state.mean) / state.sigma
+    v = default_weights(state.mu) @ steps
     return replace(state, mean=state.mean + state.sigma * v,
-                   cov_steps=update_covariance(state, v))
-
+                   cov_steps=np.vstack([state.cov_steps, v]))

@@ -19,6 +19,7 @@ untouched.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -145,7 +146,24 @@ def compute_stats(dataset: Dataset) -> DatasetStats:
 
 
 # ---------------------------------------------------------------------------
+# text files
+
+@contextlib.contextmanager
+def open_text(path, newline=None):
+    """``path`` opened as UTF-8 text for reading (``newline`` as ``open``
+    takes it: "" for the csv module); bytes that do not decode, wherever the
+    reader meets them, are a ParseError naming the file. Every text file a
+    command reads is opened here."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path) from None
+
+
+# ---------------------------------------------------------------------------
 # ARFF loading
+
 
 def _parse_attribute(line: str, path, lineno: int) -> tuple[str, object]:
     body = (line.split(None, 1) + [""])[1].strip()   # "" when the line names no attribute
@@ -189,7 +207,7 @@ def load_arff(path, label_count: int, labels_at: str = "back", name: str | None 
     holes: dict[int, list[int]] = {}  # row -> attributes whose cell is '?'
     relation = None
     in_data = False
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
@@ -334,7 +352,7 @@ def _read_csv_matrix(path) -> np.ndarray:
     ParseError at its line."""
     path = Path(path)
     rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for cells in reader:
             if any(c.strip() for c in cells):
@@ -391,7 +409,8 @@ def load_manifest(path) -> Dataset:
     """
     path = Path(path)
     try:
-        manifest = json.loads(path.read_text())
+        with open_text(path) as fh:
+            manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest is not valid JSON: {exc}", path) from None
     if not isinstance(manifest, dict):

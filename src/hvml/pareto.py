@@ -1,4 +1,4 @@
-"""Dominance, non-dominated fronts, and exact/Monte-Carlo hypervolume in 3-D.
+"""Non-dominated fronts, and exact/Monte-Carlo hypervolume in 3-D.
 
 Volumes are measured in a minimized 3-D loss space: the region dominated by
 a set of points and bounded above by one reference vector (the unit vector
@@ -41,13 +41,6 @@ import numpy as np
 from .errors import DimensionError
 
 UNIT_REF = np.ones(3)
-
-
-def dominates(a, b) -> bool:
-    """True iff a <= b in every component and a < b in at least one."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, pareto
+from . import data, losses, pareto
 from .errors import GridError, NumericError, ParseError
 
 GM_KEY = "gm"
@@ -86,13 +86,19 @@ class ResultsTable:
     @classmethod
     def from_csv(cls, path) -> "ResultsTable":
         path = Path(path)
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with data.open_text(path, newline="") as fh:
             reader = csv.DictReader(fh)
             required = {"dataset", "method", "l1", "l2", "l3"}
             if reader.fieldnames is None or not required <= set(reader.fieldnames):
                 raise ParseError(f"results CSV needs columns {sorted(required)}", path)
+            rows = []
+            for row in reader:   # the cells a short row lacks read as None
+                if None in row.values():
+                    raise ParseError(f"row has fewer cells than the header's "
+                                     f"{len(reader.fieldnames)}", path, reader.line_num)
+                rows.append(row)
             try:
-                return cls.from_rows(list(reader))
+                return cls.from_rows(rows)
             except (ValueError, KeyError) as exc:
                 raise ParseError(f"malformed results row: {exc}", path) from None
             except ParseError as exc:   # a refused cell: name the file
@@ -116,13 +122,13 @@ def method_medians(table: ResultsTable) -> dict[str, float]:
     }
 
 
-def contribution_table(table: ResultsTable, ref=pareto.UNIT_REF):
+def contribution_table(table: ResultsTable):
     """Exact hypervolume contribution of each method within its dataset's
-    front, plus contributions normalized per dataset (0/0 -> 0)."""
+    front (unit reference), plus contributions normalized per dataset (0/0 -> 0)."""
     out: dict[tuple[str, str], dict[str, float]] = {}
     for d in table.datasets:
         front = [(table.cells[(d, m)], m) for m in table.methods if (d, m) in table.cells]
-        _, values = pareto.exact_contributions(front, ref)
+        _, values = pareto.exact_contributions(front)
         contribs = dict(zip((m for _, m in front), values.tolist()))
         total = sum(contribs.values())
         for m, c in contribs.items():
@@ -168,16 +174,10 @@ def critical_difference(k: int, t: int, alpha: float = 0.05) -> float:
     return z * math.sqrt(k * (k + 1) / (6.0 * t))
 
 
-def friedman_both_orientations(table: ResultsTable, metric: str, alpha: float = 0.05) -> dict:
-    """Friedman statistic with treatments = methods and treatments = datasets,
-    plus the chi-square critical values for both df bases."""
-    return _friedman_tests(table, alpha)[0][metric]
-
-
 def _friedman_tests(table: ResultsTable, alpha: float) -> tuple[dict, dict]:
-    """``friedman_both_orientations`` of every metric, and each method's mean
-    rank under it (methods ranked within each dataset, in the table's method
-    order), both keyed by metric.
+    """Per metric, the Friedman statistic, df and critical value of both
+    orientations, and each method's mean rank (methods ranked within each
+    dataset, in the table's method order), both keyed by metric.
 
     The metrics are laid out once as a datasets x methods x metrics array in
     sorted label order, so that results do not depend on the order rows

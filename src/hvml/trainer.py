@@ -43,6 +43,11 @@ LOSS_KEYS = ("l1", "l2", "l3", "l4")
 
 STATE_FILE = "state.npz"
 CURVES_HEADER = ["epoch", "candidate", "split", "l1", "l2", "l3", "l4", "fitness"]
+# a curve record: one candidate's row of the (epochs × λ, 11) float array a checkpoint stores
+CURVE_DTYPE = np.dtype([("epoch", float), ("candidate", float), ("train", float, 3),
+                        ("train_bce", float), ("validation", float, 3),
+                        ("validation_bce", float), ("fitness", float)])
+CURVE_COLUMNS = 11
 
 
 def _setting(default, help: str, low=None):
@@ -118,19 +123,6 @@ def check_json(values: dict, path, types: dict = FIELD_TYPES) -> None:
 
 
 @dataclass
-class CandidateRecord:
-    """Per-candidate curve point: losses on both splits plus the fitness."""
-
-    epoch: int
-    candidate: int
-    train: LossVector
-    train_bce: float
-    validation: LossVector
-    validation_bce: float
-    fitness: float
-
-
-@dataclass
 class Incumbent:
     params: model.ModelParams
     validation: LossVector
@@ -149,8 +141,8 @@ class TrainState:
     incumbent: Incumbent
     best_per_loss: dict[str, Incumbent]
     archive: pareto.Front
-    curves: list[CandidateRecord] = field(default_factory=list)
-    archive_hv: list[float] = field(default_factory=list)
+    curves: np.recarray     # CURVE_DTYPE records, one per candidate per epoch
+    archive_hv: list[float]
 
 
 @dataclass
@@ -159,9 +151,18 @@ class TrainResult:
 
     final: Incumbent
     archive: pareto.Front
-    curves: list[CandidateRecord]
+    curves: np.recarray
     archive_hv: list[float]
     state: TrainState
+
+
+def _records(rows: np.ndarray) -> np.recarray:
+    """(n, 11) float curve rows as n ``CURVE_DTYPE`` records sharing their memory."""
+    return np.ascontiguousarray(rows, dtype=float).view(CURVE_DTYPE).view(np.recarray).reshape(-1)
+
+
+def _rows(curves: np.recarray) -> np.ndarray:
+    return np.asarray(curves).view(float).reshape(-1, CURVE_COLUMNS)
 
 
 def evaluate(params: model.ModelParams, dataset: Dataset, split: str,
@@ -213,8 +214,9 @@ def initial_state(dataset: Dataset, config: TrainConfig) -> TrainState:
     seed0 = Incumbent(params0, val_lv, val_bce, epoch=0, candidate=-1)
     archive = pareto.Front([val_lv], ("e0",))
     return TrainState(cma=cma, shape=shape, epoch=0, incumbent=seed0,
-                      best_per_loss=dict.fromkeys(LOSS_KEYS, seed0),
-                      archive=archive, archive_hv=[pareto.exact_hypervolume(archive)])
+                      best_per_loss=dict.fromkeys(LOSS_KEYS, seed0), archive=archive,
+                      curves=_records(np.empty((0, CURVE_COLUMNS))),
+                      archive_hv=[pareto.exact_hypervolume(archive)])
 
 
 def train(dataset: Dataset, config: TrainConfig,
@@ -223,11 +225,15 @@ def train(dataset: Dataset, config: TrainConfig,
     or ``initial_state``'s result; built here when None) and return the final
     state with its incumbent, archive and curves. The loop works on a copy,
     so the given state is left as it was. The stacked features and each
-    split's labels are checked once, before epoch 1."""
+    split's labels are checked, and the run's curve rows allocated (the
+    given state's first), once, before epoch 1."""
     if dataset.split is None:
         raise ConfigError("dataset must be split before training")
     state = resume_state if resume_state is not None else initial_state(dataset, config)
-    state = replace(state, best_per_loss=dict(state.best_per_loss), curves=list(state.curves),
+    lam = state.cma.lambda_pop
+    rows = np.concatenate([_rows(state.curves), np.empty(
+        (max(0, config.epochs - state.epoch) * lam, CURVE_COLUMNS))])
+    state = replace(state, best_per_loss=dict(state.best_per_loss), curves=_records(rows),
                     archive_hv=list(state.archive_hv))
     x_tr, y_tr = dataset.rows("train")
     x_va, y_va = dataset.rows("validation")
@@ -242,8 +248,8 @@ def train(dataset: Dataset, config: TrainConfig,
         if not np.isfinite(population).all():
             raise NumericError("parameter vector contains non-finite entries")
         scored = _population_losses(population, state.shape, features, splits, config.threshold)
-        tr, va = scored.tolist()    # per candidate: l1-l3, BCE
-        val = scored[1]
+        val = scored[1]     # per candidate: validation l1-l3, BCE
+        va = val.tolist()
 
         def kept(i):
             return Incumbent(model.ModelParams(population[i], state.shape), LossVector(*va[i][:3]),
@@ -257,14 +263,13 @@ def train(dataset: Dataset, config: TrainConfig,
         tags = tuple(str(i) for i in range(len(population)))
         fitness = pareto.exact_contributions(pareto.Front(scored[0, :, :3], tags))[1]
 
-        # archives and curves use validation losses only
-        for i, (tr_i, va_i) in enumerate(zip(tr, va)):
-            state.curves.append(CandidateRecord(
-                epoch=epoch, candidate=i, train=LossVector(*tr_i[:3]), train_bce=tr_i[3],
-                validation=LossVector(*va_i[:3]), validation_bce=va_i[3],
-                fitness=float(fitness[i])))
-        # a per-loss best moves to the generation's first lowest value only
-        # when that is strictly below the value held
+        record = rows[(epoch - 1) * lam:epoch * lam]
+        record[:, 0], record[:, 1] = epoch, np.arange(lam)
+        record[:, 2:6], record[:, 6:10], record[:, 10] = scored[0], val, fitness
+
+        # the archives use validation losses only. A per-loss best moves to
+        # the generation's first lowest value only when that is strictly
+        # below the value held
         for j, key in enumerate(LOSS_KEYS):
             i, held = int(np.argmin(val[:, j])), state.best_per_loss[key]
             if val[i, j] < (*held.validation, held.validation_bce)[j]:
@@ -286,24 +291,20 @@ def train(dataset: Dataset, config: TrainConfig,
                        archive_hv=state.archive_hv, state=state)
 
 
-def emit_curves(curves: list[CandidateRecord], path) -> None:
-    """Write the per-candidate loss trajectories as CSV: one row per candidate
-    per split per epoch."""
+def emit_curves(curves: np.recarray, path) -> None:
+    """Write the curve records as CSV: per record, its train row, then its
+    validation row."""
+    lines = ("%d,%d,train,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+             "%d,%d,validation,%.17g,%.17g,%.17g,%.17g,%.17g\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CURVES_HEADER) + "\n")
-        for rec in curves:
-            for split, lv, b in (("train", rec.train, rec.train_bce),
-                                 ("validation", rec.validation, rec.validation_bce)):
-                fh.write(f"{rec.epoch},{rec.candidate},{split},"
-                         f"{lv.l1:.17g},{lv.l2:.17g},{lv.l3:.17g},{b:.17g},{rec.fitness:.17g}\n")
+        for e, c, t1, t2, t3, tb, v1, v2, v3, vb, f in _rows(curves).tolist():
+            fh.write(lines % (e, c, t1, t2, t3, tb, f, e, c, v1, v2, v3, vb, f))
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 
-# a checkpoint's candidate record row: epoch, candidate, the train l1-l3 and
-# BCE, the validation l1-l3 and BCE, fitness
-CURVE_COLUMNS = 11
 META_TYPES = {"epoch": int, "shape": list[int], "config": dict}
 
 
@@ -337,9 +338,7 @@ def save_checkpoint(state: TrainState, config: TrainConfig, out_dir) -> None:
                 params=np.array([inc.params.flat for inc in held]),
                 params_meta=np.array([[*inc.validation, inc.validation_bce, inc.epoch,
                                        inc.candidate] for inc in held]),
-                curves=np.array([[r.epoch, r.candidate, *r.train, r.train_bce, *r.validation,
-                                  r.validation_bce, r.fitness] for r in state.curves],
-                                dtype=float).reshape(-1, CURVE_COLUMNS),
+                curves=_rows(state.curves),
             )
         os.replace(tmp, out / STATE_FILE)
     finally:
@@ -359,7 +358,12 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
     ``TrainConfig`` or the optimizer refuses, or an array whose shape does
     not fit the model shape and the epoch (``mean`` needs one entry per
     parameter, ``cov_steps`` ``epoch`` rows, ``archive_hv`` ``epoch + 1``
-    entries and ``curves`` ``epoch × lambda_pop`` rows)."""
+    entries and ``curves`` ``epoch × lambda_pop`` rows), an entry of
+    ``mean``, ``cov_steps``, ``archive_points``, ``archive_hv``,
+    ``params_meta`` or ``curves`` that is not a finite number, or an archive
+    that ``pareto.Front.validate`` refuses. A non-finite ``params`` entry is
+    left to the numeric check of the model that scores it. The stored curve
+    rows become the state's records as they are."""
     path = Path(out_dir) / STATE_FILE
     try:
         with np.load(path, allow_pickle=False) as blob:
@@ -377,17 +381,18 @@ def load_checkpoint(out_dir) -> tuple[TrainState, TrainConfig]:
             if a[name].shape != need:
                 raise ParseError(f"{name} has shape {a[name].shape}, a checkpoint at epoch "
                                  f"{epoch} of model {shape} needs {need}", path)
+        for name in ("mean", "cov_steps", "archive_points", "archive_hv", "params_meta", "curves"):
+            if not np.isfinite(a[name]).all():
+                raise ParseError(f"{name} holds an entry that is not a finite number", path)
         cma = replace(cma, mean=a["mean"], cov_steps=a["cov_steps"])
         held = [Incumbent(model.ModelParams(flat, shape), LossVector(*row[:3]), float(row[3]),
                           epoch=int(row[4]), candidate=int(row[5]))
                 for flat, row in zip(a["params"], a["params_meta"])]
-        curves = [CandidateRecord(int(r[0]), int(r[1]), LossVector(*r[2:5]), r[5],
-                                  LossVector(*r[6:9]), r[9], r[10]) for r in a["curves"].tolist()]
+        archive = pareto.Front(a["archive_points"], tuple(str(t) for t in a["archive_tags"]))
         state = TrainState(
             cma=cma, shape=shape, epoch=epoch, incumbent=held[0],
-            best_per_loss=dict(zip(LOSS_KEYS, held[1:])),
-            archive=pareto.Front(a["archive_points"], tuple(str(t) for t in a["archive_tags"])),
-            curves=curves, archive_hv=list(a["archive_hv"]))
+            best_per_loss=dict(zip(LOSS_KEYS, held[1:])), archive=archive.validate(),
+            curves=_records(a["curves"]), archive_hv=list(a["archive_hv"]))
     except (KeyError, ValueError, TypeError, EOFError, ConfigError, DimensionError,
             zipfile.BadZipFile) as exc:
         raise ParseError(f"not a readable checkpoint: {exc}", path) from exc

@@ -1,6 +1,8 @@
 """The optimizer on its own: the CMA-ES loop (sample, rank, evolve) on the
 sphere f(x) = ||x||^2, with no model or losses around it."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from hvml.cmaes import CmaState, evolve, sample_population
@@ -14,7 +16,7 @@ def minimize_sphere(dim: int, budget: int, seed, lambda_pop: int = 16, mu: int =
     Returns the best function value seen; budget counts epochs (budget 0
     returns f of the initial mean, which is dim).
     """
-    state = CmaState.initial(dim, mean=np.ones(dim), lambda_pop=lambda_pop, mu=mu)
+    state = replace(CmaState.initial(dim, lambda_pop=lambda_pop, mu=mu), mean=np.ones(dim))
     best = float(np.sum(state.mean**2))
     root = np.random.SeedSequence(seed)
     for epoch in range(int(budget)):

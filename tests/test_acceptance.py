@@ -18,7 +18,7 @@ import pytest
 
 from hvml import data, pareto, report, synth, trainer
 from hvml.losses import geometric_mean
-from hvml.report import ResultsTable, critical_difference, friedman_both_orientations, method_medians
+from hvml.report import ResultsTable, _friedman_tests, critical_difference, method_medians
 
 import seed_panel
 from oracles import grid_hv, iex_hv, tagged
@@ -173,10 +173,8 @@ def test_criterion_4_critical_difference():
 
 def test_criterion_5_friedman(table):
     expected = {"l1": 35.62, "l2": 25.64, "l3": 17.75, "gm": 21.37}
-    got = {}
-    for metric in expected:
-        both = friedman_both_orientations(table, metric)
-        got[metric] = both["treatments_datasets"]["statistic"]
+    friedman = _friedman_tests(table, 0.05)[0]
+    got = {m: friedman[m]["treatments_datasets"]["statistic"] for m in expected}
     deltas = {m: round(abs(got[m] - expected[m]), 3) for m in expected}
     ok = all(d <= 1.0 for d in deltas.values())
     _line(5, ok, f"Friedman (datasets-as-treatments orientation, midrank ties) "

@@ -93,9 +93,28 @@ class TestStats:
          "d.arff: binary feature 'f2'"),
         (ARFF_MANIFEST, ARFF.replace("0.2,", "inf,"), "d.arff: non-finite value in numeric "
                                                       "attribute 'f2'"),
+        (ARFF_MANIFEST, "@relation r\n@data\n0,1\n", "d.arff:2: @data before any @attribute"),
+        (ARFF_MANIFEST, ARFF.replace("@attribute f1", "@attrib f1"),
+         "d.arff:2: unrecognized header line"),
+        (ARFF_MANIFEST, ARFF.replace("@attribute f1", "@attribute 'f1"),
+         "d.arff:2: unterminated attribute name"),
+        (ARFF_MANIFEST, ARFF.replace("l1 {0,1}", "l1 {0,1"),
+         "d.arff:4: unterminated nominal value list for attribute 'l1'"),
+        (ARFF_MANIFEST, ARFF.replace("f1 numeric", "f1 string"),
+         "d.arff:2: unsupported attribute type 'string' for attribute 'f1'"),
+        (ARFF_MANIFEST, ARFF.replace("0.1,0.2,0,1\n", ""), "d.arff: no data rows found"),
+        (ARFF_MANIFEST, ARFF + "{0 1, 2 1\n", "d.arff:8: unterminated sparse data row"),
+        (ARFF_MANIFEST, ARFF + "{9 1}\n", "d.arff:8: sparse index 9 out of range"),
+        (ARFF_MANIFEST, ARFF.replace("0.1,0.2,", "0.1,x,"),
+         "d.arff: non-numeric value in numeric attribute 'f2'"),
+        (json.dumps({"csv_paths": "d.arff"}), ARFF,
+         "m.json: csv_paths must be [features_csv, labels_csv]"),
     ], ids=["manifest-list", "attribute-without-name", "sparse-index-not-int",
             "label-count-not-int", "labels-at-neither-end", "binary-feature-not-a-number",
-            "numeric-cell-not-finite"])
+            "numeric-cell-not-finite", "data-before-attribute", "unrecognized-header-line",
+            "unterminated-attribute-name", "unterminated-nominal-list",
+            "unsupported-attribute-type", "no-data-rows", "unterminated-sparse-row",
+            "sparse-index-out-of-range", "non-numeric-numeric-cell", "csv-paths-not-a-pair"])
     def test_malformed_dataset_input_exits_2(self, tmp_path, capsys, manifest, arff, where):
         (tmp_path / "m.json").write_text(manifest)
         (tmp_path / "d.arff").write_text(arff)
@@ -104,6 +123,18 @@ class TestStats:
         assert err["error"] == "ParseError"
         assert f"{tmp_path}/{where}" in err["message"]
 
+    @pytest.mark.parametrize("features,where", [
+        ("", "x.csv: empty file"),
+        ("0.1,0.2\n0.3,x\n", "x.csv:2: could not convert string to float: 'x'"),
+    ], ids=["empty-file", "cell-not-a-number"])
+    def test_malformed_csv_pair_exits_2(self, tmp_path, capsys, features, where):
+        (tmp_path / "m.json").write_text(json.dumps({"csv_paths": ["x.csv", "y.csv"]}))
+        (tmp_path / "x.csv").write_text(features)
+        (tmp_path / "y.csv").write_text("0\n1\n")
+        assert run_cli(["stats", "--manifest", tmp_path / "m.json", "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and err["message"].startswith(f"{tmp_path}/{where}")
+        assert not (tmp_path / "o").exists()
 
 class TestFlags:
     REQUIRED = {"stats": ["--manifest", "m.json"], "report": ["r.csv"], "hv": ["f.csv"],
@@ -200,8 +231,10 @@ class TestHv:
          "ParseError", "front.csv:2: negative loss value, or one that is not a finite"),
         ("0.5,0.5,0.5\n", ["--ref", "1,1,nan"], 2, "ParseError", "--ref must be finite"),
         ("0.5,0.5,0.5\n", ["--ref", "1,inf,1"], 2, "ParseError", "--ref must be finite"),
+        ("0.5,0.5,0.5\n0.2,0.3\n", [], 2, "ParseError",
+         "front.csv:2: need at least 3 loss columns, got 2"),
     ], ids=["two-component-ref", "negative-mc-samples", "negative-mc-samples-header-only",
-            "negative-loss", "nan-loss", "inf-loss", "nan-ref", "inf-ref"])
+            "negative-loss", "nan-loss", "inf-loss", "nan-ref", "inf-ref", "two-column-row"])
     def test_refused_request_writes_nothing(self, tmp_path, capsys, body, flags, code, error,
                                             names):
         front = tmp_path / "front.csv"
@@ -210,6 +243,13 @@ class TestHv:
         assert not (tmp_path / "o").exists()
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == error and names in err["message"]
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        front = tmp_path / "front.csv"
+        front.write_text("a,0.2,0.8,0.5\n\n , \nb,0.8,0.2,0.5\n")
+        assert run_cli(["hv", front, "--out", tmp_path / "o"]) == 0
+        rows = json.loads((tmp_path / "o" / "hv.json").read_text())["rows"]
+        assert [r["tag"] for r in rows] == ["a", "b"]
 
     def test_zero_mc_samples_gives_no_estimates(self, tmp_path):
         front = tmp_path / "front.csv"
@@ -332,6 +372,24 @@ class TestReport:
         assert err["error"] == "ParseError" and err["message"] == f"{bad}: {names}"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text,names", [
+        ("dataset,method,l1,l2,l3\na,m1,0.1,0.2\na,m2,0.2,0.3,0.4\n",
+         "bad.csv:2: row has fewer cells than the header's 5"),
+        ("dataset,method,l1,l2,l3,geometric_mean\na,m1,0.1,0.2,0.3,0.2\na,m2,0.2,0.3,0.4\n",
+         "bad.csv:3: row has fewer cells than the header's 6"),
+        ("dataset,method,l1,l2\na,m1,0.1,0.2\n",
+         "bad.csv: results CSV needs columns ['dataset', 'l1', 'l2', 'l3', 'method']"),
+        ("dataset,method,l1,l2,l3\na,m1,0.1,x,0.3\n",
+         "bad.csv: malformed results row: could not convert string to float: 'x'"),
+    ], ids=["short-row", "short-row-without-geometric-mean", "missing-column", "malformed-row"])
+    def test_unreadable_table_exits_2_naming_the_file(self, tmp_path, capsys, text, names):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run_cli(["report", bad, "--out", tmp_path / "o"]) == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ParseError" and err["message"].startswith(f"{tmp_path}/{names}")
+        assert not (tmp_path / "o").exists()
+
     def test_incomplete_grid_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("dataset,method,l1,l2,l3\n"
@@ -376,6 +434,13 @@ class TestTrain:
                         "--epochs", 0, "--embedding", 3]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert 0 < summary["final"]["validation"]["l1"] < 1
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_no_manifest_exits_3_and_writes_nothing(self, tmp_path, capsys, command):
+        assert run_cli([command, "--seed", 1, "--out", tmp_path / "o"]) == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "manifest is required" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset_path_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -843,6 +908,45 @@ class TestTrain:
                         "--out", tmp_path / "o"])
         assert code == 4
 
+    @staticmethod
+    def _set(name, index, value):
+        """A state.npz edit that sets one entry of one array."""
+        def edit(arrays):
+            arrays[name][index] = value
+        return edit
+
+    @pytest.mark.parametrize("edit,names", [
+        (_set("mean", 0, np.nan), "mean holds an entry that is not a finite number"),
+        (_set("cov_steps", (1, 2), np.inf), "cov_steps holds an entry"),
+        (_set("archive_points", (0, 1), np.nan), "archive_points holds an entry"),
+        (_set("archive_points", (0, 1), 5.0), "front components must lie in [0, 1]"),
+        (_set("archive_hv", 1, np.nan), "archive_hv holds an entry"),
+        (_set("params_meta", (0, 0), np.nan), "params_meta holds an entry"),
+        (_set("curves", (3, 7), np.nan), "curves holds an entry"),
+        (lambda arrays: arrays.update(archive_points=np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]]),
+                                      archive_tags=np.array(["e1c0", "e1c1"])),
+         "front is not mutually non-dominating: e1c0 dominates e1c1"),
+    ], ids=["nan-mean", "inf-cov-steps", "nan-archive-point", "archive-point-above-1",
+            "nan-archive-hv", "nan-params-meta", "nan-curves", "dominated-archive-point"])
+    def test_checkpoint_value_no_run_writes_exits_2_and_writes_nothing(
+            self, toy_manifest, tmp_path, capsys, edit, names):
+        # the incumbent's params keep their numeric refusal (exit 4, above)
+        out = tmp_path / "two"
+        assert run_cli(["train", "--manifest", toy_manifest, "--seed", 5, "--epochs", 2,
+                        "--embedding", 3, "--lambda-pop", 8, "--mu", 3, "--out", out]) == 0
+        with np.load(out / "state.npz") as blob:
+            arrays = dict(blob)
+        edit(arrays)
+        np.savez(out / "state.npz", **arrays)
+        capsys.readouterr()
+        for command in (["train", "--resume", out, "--epochs", 4],
+                        ["eval", "--checkpoint", out]):
+            assert run_cli([*command, "--manifest", toy_manifest, "--out", tmp_path / "o"]) == 2
+            err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert err["error"] == "ParseError" and names in err["message"]
+            assert err["message"].startswith(f"{out / 'state.npz'}: ")
+            assert not (tmp_path / "o").exists()
+
     def test_copy_task_learns_through_cli(self, toy_manifest, tmp_path, capsys):
         # the command's training path (its split by the run seed, its
         # flags) at every seed of the panel under both samplers: the final
@@ -1006,3 +1110,33 @@ def test_every_output_is_strict_json(toy_manifest, unlabeled_manifest, tmp_path,
         assert written, name
         for text in written:
             json.loads(text, parse_constant=refuse_constant)
+
+
+@pytest.mark.parametrize("command,bad", [
+    (lambda p: ["hv", p["front.csv"]], "front.csv"),
+    (lambda p: ["stats", "--manifest", p["arff.json"]], "d.arff"),
+    (lambda p: ["train", "--config", p["config.json"], "--manifest", p["toy.json"]],
+     "config.json"),
+    (lambda p: ["report", p["table.csv"]], "table.csv"),
+    (lambda p: ["stats", "--manifest", p["toy.json"]], "x.csv"),
+    (lambda p: ["stats", "--manifest", p["toy.json"]], "toy.json"),
+], ids=["hv-front", "arff-data-line", "config-file", "results-table", "csv-pair", "manifest"])
+def test_file_that_is_not_utf8_exits_2_naming_it(toy_manifest, tmp_path, capsys, command, bad):
+    # each file a command reads, with byte 0xff in its last line
+    inputs = {"front.csv": "a,0.2,0.8,0.5\nb,0.8,0.2,0.5\n",
+              "d.arff": TestStats.ARFF, "arff.json": json.dumps({"arff_path": "d.arff",
+                                                                 "label_count": 2}),
+              "config.json": json.dumps({"epochs": 1, "seed": 2}),
+              "table.csv": "dataset,method,l1,l2,l3\na,m1,0.1,0.2,0.3\na,m2,0.2,0.3,0.4\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    path = tmp_path / bad
+    text = path.read_bytes().rstrip(b"\n")
+    cut = text.rfind(b"\n") + 1 if bad != "toy.json" else len(text) - 1
+    path.write_bytes(text[:cut] + b"\xff" + text[cut:] + b"\n")
+    paths = {name: tmp_path / name for name in [*inputs, "toy.json"]}
+    assert run_cli([*command(paths), "--out", tmp_path / "o"]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"{path}: not UTF-8 text: ")
+    assert not (tmp_path / "o").exists()

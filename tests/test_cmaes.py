@@ -3,8 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hvml.cmaes import (CmaState, covariance_weights, default_weights, evolve,
-                        ranked_steps, sample_population, update_covariance)
+from hvml.cmaes import CmaState, default_weights, evolve, sample_population
 
 from oracles import dense_covariance, expression_sample_population
 from sphere import minimize_sphere
@@ -15,14 +14,16 @@ def small_state(n=2, lam=8, mu=4, sigma=0.5, c_cov=0.2):
 
 
 def low_rank_cov(state):
-    """C = a I + sum_j w_j v_j v_j^T from the state's update vectors."""
-    a, w = covariance_weights(state)
-    return a * np.eye(state.n_dims) + (state.cov_steps.T * w) @ state.cov_steps
+    """C = a I + sum_j w_j v_j v_j^T from the state's update vectors, with
+    a = (1 - c)^t and w_j = c (1 - c)^(t-1-j)."""
+    keep, t = 1.0 - state.c_cov, state.cov_steps.shape[0]
+    w = state.c_cov * keep ** np.arange(t - 1, -1, -1, dtype=float)
+    return keep**t * np.eye(state.n_dims) + (state.cov_steps.T * w) @ state.cov_steps
 
 
 def updated(state, steps):
-    v = default_weights(state.mu) @ steps[: state.mu]
-    return replace(state, cov_steps=update_covariance(state, v))
+    """The state after evolve from the ranked vectors whose steps y_i are ``steps``."""
+    return evolve(state, state.mean + state.sigma * steps)
 
 
 class TestWeights:
@@ -33,6 +34,22 @@ class TestWeights:
         assert (w > 0).all()
         assert (np.diff(w) < 0).all() or mu == 1
         assert w.sum() == pytest.approx(1.0)
+
+
+class TestRefusedState:
+    def test_no_weights_below_one_parent(self):
+        with pytest.raises(ValueError, match="mu must be >= 1"):
+            default_weights(0)
+
+    @pytest.mark.parametrize("change,names", [
+        ({"cov_steps": np.zeros((1, 3))}, "covariance steps must be t x 2"),
+        ({"sigma": -0.1}, "sigma must be >= 0"), ({"lambda_pop": 1}, "population size"),
+        ({"mu": 8}, "mu must satisfy"), ({"c_cov": 1.5}, "c_cov must lie in"),
+    ], ids=["steps-width", "negative-sigma", "population-of-one", "mu-not-below-lambda",
+            "c-cov-above-1"])
+    def test_refused_constants(self, change, names):
+        with pytest.raises(ValueError, match=names):
+            replace(small_state(), **change)
 
 
 class TestSampling:
@@ -72,8 +89,8 @@ class TestSampling:
         # the in-place sampler against the former one-expression form, at
         # t = 0 (no update vectors), after updates and at sigma = 0
         rng = np.random.default_rng(8)
-        state = CmaState.initial(37, mean=rng.standard_normal(37), sigma=0.3, lambda_pop=11,
-                                 mu=5, c_cov=0.05)
+        state = replace(CmaState.initial(37, sigma=0.3, lambda_pop=11, mu=5, c_cov=0.05),
+                        mean=rng.standard_normal(37))
         stepped = replace(state, cov_steps=rng.standard_normal((6, 37)))
         for s in (state, stepped, replace(stepped, sigma=0.0)):
             for seed in (0, 41):
@@ -113,15 +130,15 @@ class TestMeanUpdate:
 
     def test_too_few_candidates(self):
         state = small_state(mu=4)
-        with pytest.raises(ValueError):
-            ranked_steps(state, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="need at least mu=4"):
+            evolve(state, np.zeros((3, 2)))
 
 
 class TestCovarianceUpdate:
     def test_zero_learning_rate_is_identity(self):
         state = small_state(c_cov=0.0)
-        steps = ranked_steps(state, sample_population(state, 3)[: state.mu])
-        assert np.array_equal(low_rank_cov(updated(state, steps)), np.eye(2))
+        stepped = evolve(state, sample_population(state, 3)[: state.mu])
+        assert np.array_equal(low_rank_cov(stepped), np.eye(2))
 
     def test_full_learning_rate_outer_product(self):
         state = CmaState.initial(2, sigma=1.0, lambda_pop=4, mu=1, c_cov=1.0)

@@ -139,6 +139,12 @@ class TestArff:
         with pytest.raises(ParseError, match="'y'"):
             load_arff(write_toy_arff(tmp_path, text), label_count=1)
 
+    @pytest.mark.parametrize("labels_at", ["middle", "Back"])
+    def test_labels_at_neither_end_is_config_error(self, tmp_path, labels_at):
+        with pytest.raises(ConfigError, match=f"labels_at must be 'front' or 'back', got "
+                                              f"'{labels_at}'"):
+            load_arff(write_toy_arff(tmp_path), label_count=2, labels_at=labels_at)
+
     def test_label_count_bounds(self, tmp_path):
         with pytest.raises(ParseError, match="label_count"):
             load_arff(write_toy_arff(tmp_path), label_count=5)
@@ -582,6 +588,31 @@ class TestDatasetInvariants:
         ds = synth.copy_task(seed=0)
         with pytest.raises(ValueError):
             ds.x[0, 0] = 5.0
+
+    @pytest.mark.parametrize("x,y,kinds,names", [
+        (np.zeros(2), np.zeros((2, 1)), ("numeric",), "must be 2-D"),
+        (np.zeros((3, 1)), np.zeros((2, 1)), ("numeric",), "row count mismatch"),
+        (np.zeros((2, 2)), np.zeros((2, 1)), ("numeric",), "one feature kind per column"),
+    ], ids=["one-dimensional", "row-count", "kind-count"])
+    def test_refused_arrays(self, x, y, kinds, names):
+        with pytest.raises(ParseError, match=names):
+            Dataset(x=x, y=y, feature_kinds=kinds)
+
+    @pytest.mark.parametrize("parts,names", [
+        (([0, 1], [1, 2], [3]), "overlap"), (([0, 1], [2], [4]), "do not cover 0..3")],
+        ids=["overlapping", "not-covering"])
+    def test_refused_split(self, parts, names):
+        with pytest.raises(ConfigError, match=names):
+            data.SplitIndices(*parts).check(4)
+
+    @pytest.mark.parametrize("make,names", [
+        (lambda: synth.copy_task(d=2, k=3), "at least as many features as labels"),
+        (lambda: synth.linear_multilabel(n=20, d=3, k=2, label_freq=[0.5]),
+         "need 2 label frequencies"),
+    ], ids=["copy-task-more-labels-than-features", "label-freq-length"])
+    def test_synthetic_shape_refused(self, make, names):
+        with pytest.raises(ValueError, match=names):
+            make()
 
     def test_rows_requires_split(self):
         ds = synth.copy_task(seed=0)

@@ -400,6 +400,13 @@ class TestGeometricMean:
     def test_identity(self):
         assert losses.geometric_mean((1.0, 1.0, 1.0)) == 1.0
 
+    @pytest.mark.parametrize("v,error", [((0.1, 0.2), DimensionError),
+                                         ((0.1, -0.2, 0.3), ValueError)],
+                             ids=["two-components", "negative-component"])
+    def test_refused_vector(self, v, error):
+        with pytest.raises(error):
+            losses.geometric_mean(v)
+
     def test_bounded_by_min_and_max(self):
         rng = np.random.default_rng(9)
         for _ in range(200):

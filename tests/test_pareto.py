@@ -4,9 +4,8 @@ import pytest
 from hvml import pareto
 
 from hvml.errors import DimensionError
-from hvml.pareto import (Front, dominates, exact_contribution, exact_contributions,
-                         exact_hypervolume, hv_decomposition, mc_contribution,
-                         update_reference_set)
+from hvml.pareto import (Front, exact_contribution, exact_contributions, exact_hypervolume,
+                         hv_decomposition, mc_contribution, update_reference_set)
 
 from oracles import (first_dominating_pair, grid_hv, iex_hv, leave_one_out_contribution,
                      loop_exact_contributions, loop_mc_contribution, loop_merge,
@@ -20,26 +19,6 @@ REFS = pytest.mark.parametrize("ref", [(1.0, 1.0, 1.0), (0.9, 0.95, 1.2), (0.5, 
 def merged(pairs):
     """The package's non-dominated merge of pairs into an empty front."""
     return update_reference_set(EMPTY, pairs)
-
-
-class TestDominates:
-    def test_one_strict_rest_equal(self):
-        assert dominates((0.1, 0.2, 0.3), (0.2, 0.2, 0.3))
-
-    def test_equality_is_not_dominance(self):
-        assert not dominates((0.1, 0.2, 0.3), (0.1, 0.2, 0.3))
-
-    def test_incomparable(self):
-        assert not dominates((0.1, 0.9, 0.3), (0.2, 0.2, 0.3))
-
-    def test_order_properties_on_random_triples(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            a, b, c = rng.random((3, 3))
-            assert not dominates(a, a)
-            assert not (dominates(a, b) and dominates(b, a))
-            if dominates(a, b) and dominates(b, c):
-                assert dominates(a, c)
 
 
 class TestNondominatedFilter:
@@ -66,11 +45,8 @@ class TestNondominatedFilter:
         rng = np.random.default_rng(1)
         for _ in range(100):
             pts = rng.random((10, 3))
-            front = merged([(p, str(i)) for i, p in enumerate(pts)])
-            for i, p in enumerate(pts):
-                expect = not any(dominates(q, p) for q in pts) and not any(
-                    (pts[j] == p).all() for j in range(i))
-                assert (str(i) in front.tags) == expect
+            pairs = [(p, str(i)) for i, p in enumerate(pts)]
+            assert set(merged(pairs).tags) == set(nondominated_filter(pairs)[1])
 
     def test_front_validate(self):
         with pytest.raises(ValueError):
@@ -91,6 +67,14 @@ class TestNondominatedFilter:
             else:
                 with pytest.raises(ValueError, match=f": {pair[0]} dominates {pair[1]}$"):
                     front.validate()
+
+
+@pytest.mark.parametrize("points,tags", [(np.zeros((2, 2)), ("a", "b")),
+                                         (np.zeros((2, 3)), ("a",))],
+                         ids=["two-components", "one-tag-for-two-points"])
+def test_front_of_wrong_shape_is_dimension_error(points, tags):
+    with pytest.raises(DimensionError):
+        Front(points, tags)
 
 
 class TestExactHypervolume:

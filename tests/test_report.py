@@ -4,8 +4,7 @@ import pytest
 from hvml import benchmark_results_path, report
 from hvml.errors import GridError, NumericError, ParseError
 from hvml.report import (ResultsTable, chi2_quantile, contribution_table, critical_difference,
-                         friedman_both_orientations, friedman_statistic, geometric_means,
-                         method_medians, midranks)
+                         friedman_statistic, geometric_means, method_medians, midranks)
 
 from oracles import loop_midranks
 
@@ -133,8 +132,9 @@ class TestFriedman:
         # the published test ranked datasets within each method (its critical
         # value matches df = 9 - 1); reproduce those numbers to +-1.0
         expected = {"l1": 35.62, "l2": 25.64, "l3": 17.75, "gm": 21.37}
+        friedman = report._friedman_tests(table, 0.05)[0]
         for metric, target in expected.items():
-            both = friedman_both_orientations(table, metric)
+            both = friedman[metric]
             assert both["treatments_datasets"]["statistic"] == pytest.approx(target, abs=1.0)
             assert both["treatments_datasets"]["df"] == 8
             assert both["treatments_datasets"]["critical_value"] == pytest.approx(15.507, abs=0.01)
@@ -188,6 +188,13 @@ class TestQuantiles:
         assert chi2_quantile(0.95, 6) == 12.591587243743977
         assert chi2_quantile(0.95, 8) == 15.507313055865446
 
+    @pytest.mark.parametrize("p,df,names", [(1.0, 3, "p must lie in"), (0.0, 3, "p must lie in"),
+                                            (0.5, 0, "df must be >= 1")],
+                             ids=["p-one", "p-zero", "df-zero"])
+    def test_chi2_quantile_refuses_arguments(self, p, df, names):
+        with pytest.raises(ValueError, match=names):
+            chi2_quantile(p, df)
+
     def test_chi2_quantile_vs_scipy(self):
         st = pytest.importorskip("scipy.stats")
         for df in (1, 2, 6, 8, 30):
@@ -229,8 +236,7 @@ class TestWriteReport:
 
     def test_critical_values_once_per_report(self, table, tmp_path, monkeypatch):
         # two chi-square bisections (df = methods - 1 and datasets - 1) serve
-        # all four metrics, and each metric's entry is the one
-        # friedman_both_orientations gives
+        # all four metrics, and each metric's entry carries the one of its df
         calls = []
 
         def counted(p, df):
@@ -241,4 +247,6 @@ class TestWriteReport:
         summary = report.write_report(table, tmp_path, alpha=0.05)
         assert sorted(calls) == sorted([len(table.methods) - 1, len(table.datasets) - 1])
         for metric in report.METRIC_KEYS:
-            assert summary["friedman"][metric] == friedman_both_orientations(table, metric, 0.05)
+            for orientation in ("treatments_methods", "treatments_datasets"):
+                entry = summary["friedman"][metric][orientation]
+                assert entry["critical_value"] == chi2_quantile(0.95, entry["df"])

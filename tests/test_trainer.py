@@ -7,8 +7,7 @@ import pytest
 from hvml import cmaes, data, model, pareto, synth, trainer
 from hvml.errors import (ConfigError, DimensionError, NumericError, ParseError,
                          UndefinedMetricError)
-from hvml.losses import LossVector
-from hvml.trainer import CURVES_HEADER, CandidateRecord, TrainConfig, emit_curves, evaluate, train
+from hvml.trainer import CURVES_HEADER, TrainConfig, emit_curves, evaluate, train
 
 import seed_panel
 from oracles import leave_one_out_contribution
@@ -19,6 +18,11 @@ def toy_dataset():
     ds = synth.copy_task(seed=7)
     ds = ds.with_split(data.stratified_split(ds, seed=7))
     return data.normalize(ds)
+
+
+def same_curves(a, b) -> bool:
+    """Whether two runs' curve records hold the same rows, bit for bit."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def tiny_config(**overrides):
@@ -191,7 +195,7 @@ class TestTrainLoop:
         last = [r for r in res.curves if r.epoch == res.state.epoch]
         best = max(last, key=lambda r: (r.fitness, -r.candidate))
         assert res.final.candidate == best.candidate
-        assert res.final.validation == best.validation
+        assert res.final.validation == tuple(best.validation)
 
     def test_archive_capped_by_pruning(self, toy_dataset):
         res = train(toy_dataset, tiny_config(epochs=8, archive_cap=3))
@@ -220,6 +224,16 @@ class TestTrainLoop:
         y[getattr(toy_dataset.split, split)] = 0
         with pytest.raises(UndefinedMetricError, match="no sample has a positive label"):
             train(replace(toy_dataset, y=y), tiny_config())
+
+    def test_non_finite_population_is_numeric_error(self, toy_dataset):
+        state = trainer.initial_state(toy_dataset, tiny_config())
+        state = replace(state, cma=replace(state.cma, sigma=np.inf))
+        with pytest.raises(NumericError, match="non-finite"):
+            train(toy_dataset, tiny_config(), resume_state=state)
+
+    def test_unsplit_dataset_is_config_error(self, toy_dataset):
+        with pytest.raises(ConfigError, match="dataset must be split before training"):
+            train(replace(toy_dataset, split=None), tiny_config(epochs=1))
 
     def test_empty_split_is_config_error(self):
         ds = synth.copy_task(seed=3)
@@ -272,8 +286,8 @@ class TestRefusedBeforeEpochOne:
         assert sampled == []
 
 
-def read_curves(path) -> list[CandidateRecord]:
-    """Parse a curves CSV back into records (inverse of emit_curves). A row
+def read_curves(path) -> np.recarray:
+    """Parse a curves CSV back into curve records (inverse of emit_curves). A row
     with the wrong number of cells, a split other than train or validation,
     or a cell that is not a number raises ParseError at its line, and so
     does a file that lacks one of a candidate's two rows."""
@@ -293,16 +307,14 @@ def read_curves(path) -> list[CandidateRecord]:
             except ValueError as exc:
                 raise ParseError(f"not a curves row: {exc}", path, lineno) from None
             entry = rows.setdefault(key, {"fitness": fit})
-            entry[cells[2]] = (LossVector(l1, l2, l3), bce)
+            entry[cells[2]] = (l1, l2, l3, bce)
     out = []
     for (epoch, cand), entry in sorted(rows.items()):
         if len(entry) != 3:
             raise ParseError(f"epoch {epoch} candidate {cand} lacks its train or validation "
                              f"row", path)
-        tr, tr_b = entry["train"]
-        va, va_b = entry["validation"]
-        out.append(CandidateRecord(epoch, cand, tr, tr_b, va, va_b, entry["fitness"]))
-    return out
+        out.append([epoch, cand, *entry["train"], *entry["validation"], entry["fitness"]])
+    return trainer._records(np.array(out, dtype=float).reshape(-1, trainer.CURVE_COLUMNS))
 
 
 class TestCurvesCsv:
@@ -312,10 +324,7 @@ class TestCurvesCsv:
         emit_curves(res.curves, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * len(res.curves)  # header + 2 splits per record
-        back = read_curves(path)
-        assert len(back) == len(res.curves)
-        for a, b in zip(back, res.curves):
-            assert a == b
+        assert same_curves(read_curves(path), res.curves)
 
     def test_wrong_header_is_parse_error(self, tmp_path):
         path = tmp_path / "curves.csv"
@@ -359,7 +368,7 @@ class TestCheckpoint:
         assert np.array_equal(resumed.final.params.flat, full.final.params.flat)
         assert resumed.final.validation == full.final.validation
         assert resumed.archive.tags == full.archive.tags
-        assert resumed.curves == full.curves and resumed.archive_hv == full.archive_hv
+        assert same_curves(resumed.curves, full.curves) and resumed.archive_hv == full.archive_hv
 
     def test_train_leaves_the_given_state_as_it_was(self, toy_dataset):
         def snapshot(s):
@@ -374,7 +383,7 @@ class TestCheckpoint:
         assert snapshot(state) == before
         assert a.state.epoch == b.state.epoch == 3
         assert np.array_equal(a.final.params.flat, b.final.params.flat)
-        assert a.curves == b.curves and a.archive_hv == b.archive_hv
+        assert same_curves(a.curves, b.curves) and a.archive_hv == b.archive_hv
         assert a.archive.tags == b.archive.tags
 
     @staticmethod
@@ -481,7 +490,7 @@ class TestCheckpoint:
                 held(state.incumbent),
                 {key: held(inc) for key, inc in state.best_per_loss.items()},
                 state.archive.points.tobytes(), state.archive.tags, list(state.archive_hv),
-                state.curves)
+                state.curves.tobytes())
 
     def test_save_killed_at_each_rename_loads_whole_old_or_new(self, toy_dataset, tmp_path,
                                                                monkeypatch):
@@ -532,4 +541,4 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == [trainer.STATE_FILE]
         state, _ = trainer.load_checkpoint(tmp_path)
         assert np.array_equal(state.incumbent.params.flat, res.final.params.flat)
-        assert state.curves == res.curves
+        assert same_curves(state.curves, res.curves)
